@@ -10,10 +10,10 @@
 //    points, where per-round work — not the protocol — dominates;
 //  * tournament pairing windows (core/tournament_dispersion.cpp), batched
 //    and unbatched, so the map-cache/early-close speedup is timed in
-//    isolation and its active-round collapse is gated exactly — plus the
-//    f > 0 compiled-adversary pair (core/byzantine.cpp range effects): an
-//    always-broadcasting squatter with the interpreter on vs. off, gating
-//    the adversarial-batching speedup the same way.
+//    isolation and its active-round collapse is gated exactly — plus an
+//    f > 0 squatter point (core/byzantine.cpp range effects), whose
+//    simulated_rounds pin that an always-broadcasting adversary parks
+//    instead of keeping the engine awake.
 //
 // A fourth section pins the flat-container/pooled-payload claim at the
 // allocator seam: with the bench-local operator-new hook (alloc_hook.cpp,
@@ -24,8 +24,8 @@
 //
 // Output: four CSVs (quotient rows: name,n,num_classes,reps,seconds;
 // engine rows: the run/ points schema; pairing rows:
-// algorithm,n,f,strategy,batched,compiled,reps,ok,rounds,simulated_rounds,
-// moves,messages,planned_rounds,seconds; alloc rows:
+// algorithm,n,f,strategy,batched,reps,ok,rounds,simulated_rounds,moves,
+// messages,planned_rounds,seconds; alloc rows:
 // name,robots,payload_words,rounds,window_rounds,steady_allocs,messages).
 // Usage:
 //   bench_hotpaths [quotient_csv [engine_csv [pairing_csv [alloc_csv]]]]
@@ -85,20 +85,15 @@ void quotient_rows(std::ostream& os) {
   }
 }
 
-/// Set false by pairing_rows if the compiled-adversary speedup claim
-/// fails; main() turns it into a nonzero exit so CI perf-smoke catches a
-/// regression even before perf_diff sees the baselines.
-bool g_pairing_speedup_ok = true;
-
 void pairing_rows(std::ostream& os) {
   // Row 4 (tournament-gathered) isolates Phase 2: no gathering prefix, so
   // the timer measures the pairing windows plus the short dispersion
-  // phase. The f > 0 crash cases time the PR 5 early close (Byzantine
-  // silence is the window tail it removes); the f > 0 squatter pair times
-  // adversary compilation itself — an always-broadcasting squatter keeps
-  // the engine awake every round unless the compiled interpreter parks it
-  // as a range effect, so compiled=1 vs compiled=0 isolates exactly that.
-  os << "algorithm,n,f,strategy,batched,compiled,reps,ok,rounds,"
+  // phase. The f > 0 crash cases time the early close (Byzantine silence
+  // is the window tail it removes); the f > 0 squatter case times the
+  // adversary interpreter — an always-broadcasting squatter would keep the
+  // engine awake every round if the interpreter did not park it as a
+  // range effect.
+  os << "algorithm,n,f,strategy,batched,reps,ok,rounds,"
         "simulated_rounds,moves,messages,planned_rounds,seconds\n";
   Rng rng(19);
   const Graph g24 = shuffle_ports(make_connected_er(24, 0.3, rng), rng);
@@ -109,22 +104,19 @@ void pairing_rows(std::ostream& os) {
     std::uint32_t f;
     core::ByzStrategy strategy;
     bool batched;
-    bool compiled;
   };
   // Crash faults at n = 24 for the unbatched pair: unbatched, every crash
   // window costs the honest token a full t2 of active listening (at
   // n >= 48 that exceeds any sane bench budget).
   const Case cases[] = {
-      {&g48, 0, core::ByzStrategy::kCrash, true, true},
-      {&g48, 0, core::ByzStrategy::kCrash, false, true},
-      {&g24, 5, core::ByzStrategy::kCrash, true, true},
-      {&g24, 5, core::ByzStrategy::kCrash, false, true},
-      {&g64, 0, core::ByzStrategy::kCrash, true, true},
-      {&g64, 0, core::ByzStrategy::kCrash, false, true},
-      {&g24, 5, core::ByzStrategy::kSquatter, true, true},
-      {&g24, 5, core::ByzStrategy::kSquatter, true, false},
+      {&g48, 0, core::ByzStrategy::kCrash, true},
+      {&g48, 0, core::ByzStrategy::kCrash, false},
+      {&g24, 5, core::ByzStrategy::kCrash, true},
+      {&g24, 5, core::ByzStrategy::kCrash, false},
+      {&g64, 0, core::ByzStrategy::kCrash, true},
+      {&g64, 0, core::ByzStrategy::kCrash, false},
+      {&g24, 5, core::ByzStrategy::kSquatter, true},
   };
-  double squatter_compiled = 0, squatter_coroutine = 0;
   for (const Case& c : cases) {
     core::ScenarioConfig cfg;
     cfg.algorithm = core::Algorithm::kTournamentGathered;
@@ -132,7 +124,6 @@ void pairing_rows(std::ostream& os) {
     cfg.strategy = c.strategy;
     cfg.seed = 17;
     cfg.batched_pairing = c.batched;
-    cfg.compiled_adversary = c.compiled;
     constexpr int kReps = 3;
     core::ScenarioResult res;
     double best = 0;
@@ -140,27 +131,16 @@ void pairing_rows(std::ostream& os) {
       const double s = time_once([&] { res = core::run_scenario(*c.g, cfg); });
       best = rep == 0 ? s : std::min(best, s);
     }
-    if (c.strategy == core::ByzStrategy::kSquatter)
-      (c.compiled ? squatter_compiled : squatter_coroutine) = best;
     os << core::to_string(cfg.algorithm) << ',' << c.g->n() << ',' << c.f
        << ',' << core::to_string(c.strategy) << ',' << (c.batched ? 1 : 0)
-       << ',' << (c.compiled ? 1 : 0) << ',' << kReps << ','
+       << ',' << kReps << ','
        << (res.verify.ok() ? 1 : 0) << ',' << res.stats.rounds << ','
        << res.stats.simulated_rounds << ',' << res.stats.moves << ','
        << res.stats.messages << ',' << res.planned_rounds << ',' << best
        << '\n';
-    std::fprintf(stderr, "[pairing n=%zu f=%u %s batched=%d compiled=%d: %.4fs]\n",
+    std::fprintf(stderr, "[pairing n=%zu f=%u %s batched=%d: %.4fs]\n",
                  c.g->n(), c.f, core::to_string(c.strategy).c_str(),
-                 c.batched ? 1 : 0, c.compiled ? 1 : 0, best);
-  }
-  // The PR's acceptance bar: compiling the adversary must at least halve
-  // the batched-but-uncompiled wall clock on the squatter point.
-  if (squatter_compiled * 2 > squatter_coroutine) {
-    std::fprintf(stderr,
-                 "pairing: compiled adversary too slow: %.4fs vs %.4fs "
-                 "(need >= 2x)\n",
-                 squatter_compiled, squatter_coroutine);
-    g_pairing_speedup_ok = false;
+                 c.batched ? 1 : 0, best);
   }
 }
 
@@ -271,7 +251,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "engine point failed: %s\n", p.detail.c_str());
       ok = false;
     }
-  ok &= g_pairing_speedup_ok;
   ok &= g_alloc_steady_ok;
   return ok ? 0 : 1;
 }

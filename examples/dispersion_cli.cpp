@@ -8,8 +8,13 @@
 // f = -1 (default) uses the algorithm's maximum claimed tolerance.
 // --theory-cost charges the paper's cited bounds verbatim (X(n) = n^5)
 // instead of the scaled covering-walk model.
+//
+// Exit codes: 0 dispersed, 1 not dispersed, 2 bad input (unknown flag or
+// name, malformed number, unreadable graph file, or a scenario the
+// algorithm rejects).
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include <fstream>
@@ -104,16 +109,9 @@ Graph build_graph(const Options& opt, Rng& rng) {
   return shuffle_ports(make_connected_er(n, 0.0, rng), rng);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    if (!parse_arg(opt, argv[i])) {
-      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-      return 2;
-    }
-  }
+/// Build and run the scenario `opt` describes, then print its report.
+/// Bad input throws (see main).
+int run(const Options& opt) {
   Rng rng(opt.seed * 77 + 1);
   const Graph g = build_graph(opt, rng);
 
@@ -128,6 +126,9 @@ int main(int argc, char** argv) {
 
   sim::TraceRecorder trace;
   if (opt.trace) cfg.observer = &trace;
+  // Run before printing anything, so a rejected scenario leaves no
+  // partial report on stdout.
+  const core::ScenarioResult res = core::run_scenario(g, cfg);
 
   std::printf("graph: %s n=%u m=%zu (trivial quotient: %s)\n",
               opt.graph.c_str(), n, g.m(),
@@ -136,8 +137,6 @@ int main(int argc, char** argv) {
               core::to_string(cfg.algorithm).c_str(), cfg.num_byzantine,
               core::to_string(cfg.strategy).c_str(),
               opt.theory_cost ? "theory" : "scaled");
-
-  const core::ScenarioResult res = core::run_scenario(g, cfg);
   std::printf("rounds=%s simulated=%llu moves=%llu messages=%llu\n",
               res.stats.rounds.to_string().c_str(),
               static_cast<unsigned long long>(res.stats.simulated_rounds),
@@ -159,4 +158,27 @@ int main(int argc, char** argv) {
     }
   }
   return res.verify.ok() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    Options opt;
+    for (int i = 1; i < argc; ++i) {
+      if (!parse_arg(opt, argv[i])) {
+        std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+        return 2;
+      }
+    }
+    return run(opt);
+  } catch (const std::exception& e) {
+    // Bad input surfaces as an exception: a malformed number, an unknown
+    // --algo/--strategy, an unreadable --graph-file, or a scenario the
+    // algorithm rejects (the spoofer on a weak-only algorithm, the ring
+    // baseline off a ring). Report it as a usage error, like an unknown
+    // flag, instead of aborting.
+    std::fprintf(stderr, "dispersion_cli: %s\n", e.what());
+    return 2;
+  }
 }

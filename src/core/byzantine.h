@@ -43,7 +43,7 @@ enum class ByzStrategy {
 /// that stays awake only defeats the engine's round fast-forwarding. The
 /// scenario harness therefore hands each Byzantine robot its wave's wake
 /// round plus the charged windows of every LATER wave (Theorem 8 wave
-/// scheduling), and the strategies sleep through all of them — so
+/// scheduling), and the robot sleeps through all of them — so
 /// multi-wave k > n sweeps fast-forward their oracle prefixes exactly like
 /// single-wave runs.
 struct ByzSchedule {
@@ -64,9 +64,8 @@ struct ByzSchedule {
 /// Cursor over a schedule's charged windows. pending() returns how long to
 /// sleep from `now` to clear the window containing it (0 = outside every
 /// window). Windows are sorted, so the cursor only ever advances —
-/// checking costs O(1) per awake round. Shared by the coroutine strategies
-/// and the compiled-strategy interpreter (which also uses until_next to
-/// bound bulk range effects).
+/// checking costs O(1) per awake round. The strategy interpreter also uses
+/// until_next to bound bulk range effects.
 struct ChargeGate {
   ByzSchedule sched;
   std::size_t next = 0;
@@ -82,18 +81,19 @@ struct ChargeGate {
 // Compiled strategies (range-effect IR)
 // ---------------------------------------------------------------------------
 //
-// Every per-round strategy coroutine above a crash is a tiny loop: emit a
-// fixed op list each round, draw a move, occasionally switch phase.
-// CompiledStrategy captures that loop as data — phases of round-ranges
-// with per-round ops — so ONE interpreter coroutine (behind
-// make_compiled_byzantine_program) can either act live in a simulated
-// round or *replay* a fast-forwarded round by executing the same ops with
-// broadcasts suppressed (but counted) and moves applied immediately. The
-// interpreter parks via Ctx::end_round_ambient between rounds, so an
-// always-broadcasting adversary no longer blocks the engine's O(1)
-// fast-forward over honest sleep windows; per-round semantics (message
-// contents and order, RNG draw order, move timing) are preserved
-// bit-identically because live and replay paths share the op walk.
+// Every strategy above a crash is a tiny loop: emit a fixed op list each
+// round, draw a move, occasionally switch phase. CompiledStrategy captures
+// that loop as data — phases of round-ranges with per-round ops — so ONE
+// interpreter coroutine (behind make_byzantine_program) can either act
+// live in a simulated round or *replay* a fast-forwarded round by
+// executing the same ops with broadcasts suppressed (but counted) and
+// moves applied immediately. The interpreter parks via
+// Ctx::end_round_ambient between rounds, so an always-broadcasting
+// adversary does not block the engine's O(1) fast-forward over honest
+// sleep windows; per-round semantics (message contents and order, RNG
+// draw order, move timing) are preserved bit-identically because live and
+// replay paths share the op walk. An engine with an observer attached
+// never parks the robot, so traced runs execute every round live.
 struct CompiledStrategy {
   /// Payload element: a literal, or one rng.below(4) draw at emission
   /// time (draw order = element order within the op list).
@@ -148,28 +148,17 @@ struct CompiledStrategy {
 /// crash program finishes immediately and never wakes the engine).
 [[nodiscard]] std::optional<CompiledStrategy> compile_strategy(ByzStrategy s);
 
-/// Build the engine program for a Byzantine robot.
+/// Build the engine program for a Byzantine robot: the strategy's
+/// compiled form run by the one interpreter (kCrash finishes at round 0).
 /// `peer_ids` lists all robot IDs (used for spoofing and targeted lies);
-/// `seed` derives the robot's private randomness.
+/// `seed` derives the robot's private randomness. The robot honors
+/// `schedule`: it sleeps until schedule.wake first and stays asleep
+/// through every later charged window. Throws std::invalid_argument on a
+/// malformed schedule (an empty [a, a) window, unsorted/overlapping
+/// windows, or a window starting before wake); the program throws
+/// std::logic_error at round 0 if kSpoofer runs on a weak robot.
 [[nodiscard]] sim::ProgramFactory make_byzantine_program(
     ByzStrategy strategy, std::vector<sim::RobotId> peer_ids,
-    std::uint64_t seed);
-
-/// Same, but the robot honors `schedule`: it sleeps until schedule.wake
-/// first and stays asleep through every later charged window. Throws
-/// std::invalid_argument on a malformed schedule (an empty [a, a) window,
-/// unsorted/overlapping windows, or a window starting before wake).
-[[nodiscard]] sim::ProgramFactory make_byzantine_program(
-    ByzStrategy strategy, std::vector<sim::RobotId> peer_ids,
-    std::uint64_t seed, ByzSchedule schedule);
-
-/// Compiled variant of make_byzantine_program: same observable behavior
-/// bit-for-bit (verdicts, rounds, moves, messages, RNG draws, final
-/// position), but executed as range effects through Ctx::end_round_ambient
-/// so the engine can fast-forward honest sleep windows the adversary would
-/// otherwise keep awake. Falls back to the coroutine program for kCrash.
-[[nodiscard]] sim::ProgramFactory make_compiled_byzantine_program(
-    ByzStrategy strategy, std::vector<sim::RobotId> peer_ids,
-    std::uint64_t seed, ByzSchedule schedule);
+    std::uint64_t seed, ByzSchedule schedule = {});
 
 }  // namespace bdg::core

@@ -264,19 +264,13 @@ ScenarioResult run_scenario(const Graph& g, const ScenarioConfig& cfg) {
       sched.wake = offsets[w] + plans[w].byz_wake_round;
       for (const auto& win : charged)
         if (win.first >= sched.wake) sched.charged.push_back(win);
-      // Draw the robot's seed exactly once so the compiled and coroutine
-      // paths consume the scenario RNG identically.
       const std::uint64_t byz_seed = rng.next();
-      const bool compiled =
-          cfg.compiled_adversary && cfg.observer == nullptr;
       eng.add_robot(ids[i],
                     strong ? sim::Faultiness::kStrongByzantine
                            : sim::Faultiness::kWeakByzantine,
                     starts[i],
-                    compiled ? make_compiled_byzantine_program(
-                                   strategy, ids, byz_seed, std::move(sched))
-                             : make_byzantine_program(strategy, ids, byz_seed,
-                                                      std::move(sched)));
+                    make_byzantine_program(strategy, ids, byz_seed,
+                                           std::move(sched)));
     } else {
       eng.add_robot(ids[i], sim::Faultiness::kHonest, starts[i],
                     plans[w].honest(ids[i], starts[i]), offsets[w]);

@@ -284,7 +284,7 @@ std::uint64_t spec_fingerprint(const SweepSpec& spec) {
   h = mix(h, spec.cost.scaled ? 1 : 0);
   h = mix(h, spec.byz_smallest_ids ? 1 : 0);
   h = mix(h, spec.measure_seconds ? 1 : 0);
-  h = mix(h, spec.compiled_adversary ? 1 : 0);
+  h = mix(h, 1);  // retired adversary-path flag; kept so old checkpoints resume
   return h;
 }
 
@@ -396,7 +396,6 @@ PointResult run_point(const SweepSpec& spec, const SweepPoint& p) {
   cfg.strong_byzantine = core::handles_strong(p.algorithm);
   cfg.seed = mix(r.derived_seed, 0x5CE42AE05C0F5AB1ULL);
   cfg.cost = spec.cost;
-  cfg.compiled_adversary = spec.compiled_adversary;
 
   const auto t0 = std::chrono::steady_clock::now();
   try {

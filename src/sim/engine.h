@@ -160,10 +160,13 @@ class Ctx {
   /// fast-forward in O(1); on resume ctx.round() may have jumped, and the
   /// program is responsible for replaying the skipped rounds (see
   /// ambient_round) so its RNG draws, moves and message totals stay
-  /// bit-identical to the per-round execution. Compiled Byzantine
-  /// strategies (core/byzantine.h) are the intended caller. Ambient
+  /// bit-identical to the per-round execution. The Byzantine strategy
+  /// interpreter (core/byzantine.h) is the intended caller. Ambient
   /// robots never keep the run alive by themselves (matching the rule
   /// that Byzantine programs that never finish do not block completion).
+  /// With an observer attached the engine never parks: this is exactly
+  /// end_round, so the robot runs live in every round and has nothing to
+  /// replay.
   [[nodiscard]] auto end_round_ambient(std::optional<Port> port);
 
   // --- ambient replay accounting ---------------------------------------
@@ -194,7 +197,11 @@ struct WakeAwaiter;
 
 /// Optional engine instrumentation: register with Engine::set_observer to
 /// receive model-level events (used by the trace recorder, the CLI and
-/// debugging sessions; zero cost when unset).
+/// debugging sessions; zero cost when unset). An attached observer turns
+/// Ctx::end_round_ambient into end_round, so robots that would park and
+/// replay skipped rounds instead act live in every round and each of their
+/// broadcasts and moves is observed. Run results are unchanged; only
+/// simulated_rounds and resumes can grow.
 class Observer {
  public:
   virtual ~Observer() = default;
@@ -409,10 +416,15 @@ inline void Engine::set_command(std::uint32_t idx, WakeKind kind,
     case WakeKind::kAmbient:
       // Park outside both wake queues: the robot moves this round like
       // end_round, then waits to be merged into whichever round the
-      // engine simulates next (possibly far ahead).
+      // engine simulates next (possibly far ahead). With an observer
+      // attached it is exactly end_round instead: the robot stays live
+      // every round, so traces see each of its broadcasts and moves.
       r.move = port;
       r.wake_round = round_ + 1;
-      ambient_.push_back(idx);
+      if (observer_ != nullptr)
+        next_round_.push_back(idx);
+      else
+        ambient_.push_back(idx);
       if (port.has_value()) movers_.push_back(idx);
       break;
   }

@@ -149,24 +149,15 @@ TEST(Byzantine, SpooferOnWeakRobotThrowsBeforeWake) {
   // Regression: the faultiness check used to sit after sleep_rounds(wake),
   // so a weak robot handed the spoofer with a huge charged prefix ran
   // silently for the whole experiment instead of aborting at round 0.
-  const Graph g = make_complete(4);
-  sim::Engine eng(g);
-  eng.add_robot(5, sim::Faultiness::kWeakByzantine, 0,
-                make_byzantine_program(ByzStrategy::kSpoofer, {5, 9}, 42,
-                                       std::uint64_t{1} << 40));
-  std::vector<sim::Msg> heard;
-  eng.add_robot(9, sim::Faultiness::kHonest, 0,
-                [&](sim::Ctx c) { return listen_robot(c, 4, &heard); });
-  EXPECT_THROW(eng.run(8), std::logic_error);
-}
-
-TEST(Byzantine, CompiledSpooferOnWeakRobotThrowsBeforeWake) {
+  // Charged windows after the wake must not delay the check either.
   const Graph g = make_complete(4);
   sim::Engine eng(g);
   ByzSchedule sched{std::uint64_t{1} << 40};
+  sched.charged = {
+      {Round(std::uint64_t{1} << 41), Round(std::uint64_t{1} << 42)}};
   eng.add_robot(5, sim::Faultiness::kWeakByzantine, 0,
-                make_compiled_byzantine_program(ByzStrategy::kSpoofer, {5, 9},
-                                                42, std::move(sched)));
+                make_byzantine_program(ByzStrategy::kSpoofer, {5, 9}, 42,
+                                       std::move(sched)));
   std::vector<sim::Msg> heard;
   eng.add_robot(9, sim::Faultiness::kHonest, 0,
                 [&](sim::Ctx c) { return listen_robot(c, 4, &heard); });
@@ -181,9 +172,6 @@ TEST(Byzantine, EmptyChargedWindowIsRejected) {
   EXPECT_THROW(
       make_byzantine_program(ByzStrategy::kSquatter, {5}, 1, sched),
       std::invalid_argument);
-  EXPECT_THROW(
-      make_compiled_byzantine_program(ByzStrategy::kSquatter, {5}, 1, sched),
-      std::invalid_argument);
   // Unsorted / overlapping / pre-wake windows are rejected too.
   ByzSchedule bad{4};
   bad.charged = {{2, 6}};  // starts before wake
@@ -192,10 +180,17 @@ TEST(Byzantine, EmptyChargedWindowIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Compiled-vs-coroutine conformance: same messages (kind, claimed, source,
-// payload, order), same final position, same move/message/round totals —
-// live (listener awake every round) and across engine fast-forwards
-// (listener asleep, forcing the compiled program to replay the gap).
+// Conformance with the retired per-round strategy coroutines. Every
+// strategy used to exist twice: a hand-written coroutine and the compiled
+// IR. The coroutines' observations were recorded before their removal
+// (digest of every heard message's claimed/source/kind/payload, in order,
+// plus the adversary's final node and the run totals) and the interpreter
+// must reproduce them exactly — live (listener awake every round), across
+// an engine fast-forward (listener asleep, so the parked interpreter
+// replays the gap) and across charged windows. Each case also runs with a
+// no-op observer attached, which keeps the interpreter live every round:
+// it must match the unobserved run on everything but simulated_rounds,
+// pinning that replay equals live execution.
 // ---------------------------------------------------------------------------
 
 sim::Proc listen_after(sim::Ctx ctx, std::uint64_t sleep_first,
@@ -210,17 +205,21 @@ sim::Proc listen_after(sim::Ctx ctx, std::uint64_t sleep_first,
   }
 }
 
-Heard observe_program(ByzStrategy strategy, sim::Faultiness fault,
-                      bool compiled, std::uint64_t sleep_first,
-                      std::uint64_t rounds, const ByzSchedule& sched) {
+struct NoopObserver final : sim::Observer {};
+
+Heard observe_program(ByzStrategy strategy, bool observed,
+                      std::uint64_t sleep_first, std::uint64_t rounds,
+                      const ByzSchedule& sched) {
   const Graph g = make_complete(4);
   sim::Engine eng(g);
+  NoopObserver noop;
+  if (observed) eng.set_observer(&noop);
   Heard h;
-  eng.add_robot(
-      5, fault, 0,
-      compiled
-          ? make_compiled_byzantine_program(strategy, {5, 9}, 42, sched)
-          : make_byzantine_program(strategy, {5, 9}, 42, sched));
+  eng.add_robot(5,
+                strategy == ByzStrategy::kSpoofer
+                    ? sim::Faultiness::kStrongByzantine
+                    : sim::Faultiness::kWeakByzantine,
+                0, make_byzantine_program(strategy, {5, 9}, 42, sched));
   eng.add_robot(9, sim::Faultiness::kHonest, 0, [&](sim::Ctx c) {
     return listen_after(c, sleep_first, rounds, &h.msgs);
   });
@@ -229,60 +228,115 @@ Heard observe_program(ByzStrategy strategy, sim::Faultiness fault,
   return h;
 }
 
-void expect_identical_observation(const Heard& coroutine, const Heard& compiled,
-                                  const std::string& label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(coroutine.msgs.size(), compiled.msgs.size());
-  for (std::size_t i = 0; i < coroutine.msgs.size(); ++i) {
-    EXPECT_EQ(coroutine.msgs[i].claimed, compiled.msgs[i].claimed) << i;
-    EXPECT_EQ(coroutine.msgs[i].source, compiled.msgs[i].source) << i;
-    EXPECT_EQ(coroutine.msgs[i].kind, compiled.msgs[i].kind) << i;
-    EXPECT_EQ(coroutine.msgs[i].data, compiled.msgs[i].data) << i;
+/// FNV-1a over the bytes of every message's claimed ID, source tag, kind,
+/// payload length and payload words, in delivery order.
+std::uint64_t digest_msgs(const std::vector<sim::Msg>& msgs) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto word = [&h](std::uint64_t w) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (w >> (8 * b)) & 0xFFU;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const sim::Msg& m : msgs) {
+    word(m.claimed);
+    word(m.source);
+    word(m.kind);
+    word(m.data.size());
+    for (const std::int64_t w : m.data.view())
+      word(static_cast<std::uint64_t>(w));
   }
-  EXPECT_EQ(coroutine.byz_end, compiled.byz_end);
-  EXPECT_EQ(coroutine.stats.rounds, compiled.stats.rounds);
-  EXPECT_EQ(coroutine.stats.moves, compiled.stats.moves);
-  EXPECT_EQ(coroutine.stats.messages, compiled.stats.messages);
-  EXPECT_LE(compiled.stats.simulated_rounds, coroutine.stats.simulated_rounds);
+  return h;
 }
 
-std::vector<std::pair<ByzStrategy, sim::Faultiness>> conformance_cases() {
-  std::vector<std::pair<ByzStrategy, sim::Faultiness>> cases;
-  for (const auto s : weak_strategies())
-    cases.emplace_back(s, sim::Faultiness::kWeakByzantine);
-  cases.emplace_back(ByzStrategy::kSpoofer,
-                     sim::Faultiness::kStrongByzantine);
-  return cases;
+/// One strategy's recorded coroutine observation.
+struct Golden {
+  ByzStrategy strategy;
+  std::uint64_t msgs_digest;
+  NodeId byz_end;
+  std::uint64_t rounds;
+  std::uint64_t moves;
+  std::uint64_t messages;
+};
+
+void expect_matches_golden(const std::vector<Golden>& goldens,
+                           std::uint64_t sleep_first, std::uint64_t rounds,
+                           const ByzSchedule& sched) {
+  // Every strategy, weak ones plus the spoofer, has a recorded row.
+  ASSERT_EQ(goldens.size(), weak_strategies().size() + 1);
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(to_string(g.strategy));
+    const Heard plain =
+        observe_program(g.strategy, false, sleep_first, rounds, sched);
+    EXPECT_EQ(digest_msgs(plain.msgs), g.msgs_digest);
+    EXPECT_EQ(plain.byz_end, g.byz_end);
+    EXPECT_EQ(plain.stats.rounds, Round(g.rounds));
+    EXPECT_EQ(plain.stats.moves, g.moves);
+    EXPECT_EQ(plain.stats.messages, g.messages);
+
+    const Heard observed =
+        observe_program(g.strategy, true, sleep_first, rounds, sched);
+    ASSERT_EQ(observed.msgs.size(), plain.msgs.size());
+    for (std::size_t i = 0; i < plain.msgs.size(); ++i) {
+      EXPECT_EQ(observed.msgs[i].claimed, plain.msgs[i].claimed) << i;
+      EXPECT_EQ(observed.msgs[i].source, plain.msgs[i].source) << i;
+      EXPECT_EQ(observed.msgs[i].kind, plain.msgs[i].kind) << i;
+      EXPECT_EQ(observed.msgs[i].data, plain.msgs[i].data) << i;
+    }
+    EXPECT_EQ(observed.byz_end, plain.byz_end);
+    EXPECT_EQ(observed.stats.rounds, plain.stats.rounds);
+    EXPECT_EQ(observed.stats.moves, plain.stats.moves);
+    EXPECT_EQ(observed.stats.messages, plain.stats.messages);
+    EXPECT_GE(observed.stats.simulated_rounds, plain.stats.simulated_rounds);
+  }
 }
 
 TEST(CompiledStrategy, MatchesCoroutineLive) {
-  for (const auto& [s, fault] : conformance_cases()) {
-    const Heard a = observe_program(s, fault, false, 0, 14, ByzSchedule{0});
-    const Heard b = observe_program(s, fault, true, 0, 14, ByzSchedule{0});
-    expect_identical_observation(a, b, to_string(s) + " live");
-  }
+  const std::vector<Golden> goldens = {
+      {ByzStrategy::kCrash, 0xcbf29ce484222325ULL, 0, 15, 0, 0},
+      {ByzStrategy::kRandomWalker, 0xa038c2338c2a8ca5ULL, 3, 15, 15, 15},
+      {ByzStrategy::kSquatter, 0x0efe4854ee699e85ULL, 0, 15, 0, 15},
+      {ByzStrategy::kFakeSettler, 0xc1a126c74d783245ULL, 0, 15, 8, 7},
+      {ByzStrategy::kSilentSettler, 0x583ee8f80d41d3a8ULL, 0, 15, 0, 3},
+      {ByzStrategy::kIntentSpammer, 0x672a99eb4aa10605ULL, 3, 15, 15, 45},
+      {ByzStrategy::kMapLiar, 0x9f62a7dbc066c2a7ULL, 1, 15, 4, 60},
+      {ByzStrategy::kSpoofer, 0x0706819c85cef467ULL, 0, 15, 9, 255},
+  };
+  expect_matches_golden(goldens, 0, 14, ByzSchedule{0});
 }
 
 TEST(CompiledStrategy, MatchesCoroutineAcrossFastForward) {
-  // Listener sleeps 9 rounds first: the compiled adversary is the only
-  // ambient robot, the engine fast-forwards the gap, and the interpreter
-  // must replay it (draws, suppressed messages, immediate hops) so the
+  // Listener sleeps 9 rounds first: the adversary is the only (parked)
+  // robot, the engine fast-forwards the gap, and the interpreter must
+  // replay it (draws, suppressed messages, immediate hops) so the
   // listener wakes to a bit-identical world.
-  for (const auto& [s, fault] : conformance_cases()) {
-    const Heard a = observe_program(s, fault, false, 9, 10, ByzSchedule{0});
-    const Heard b = observe_program(s, fault, true, 9, 10, ByzSchedule{0});
-    expect_identical_observation(a, b, to_string(s) + " fast-forward");
-  }
+  const std::vector<Golden> goldens = {
+      {ByzStrategy::kCrash, 0xcbf29ce484222325ULL, 0, 20, 0, 0},
+      {ByzStrategy::kRandomWalker, 0xa038c2338c2a8ca5ULL, 3, 20, 20, 20},
+      {ByzStrategy::kSquatter, 0x7ac357d6a881b9c5ULL, 0, 20, 0, 20},
+      {ByzStrategy::kFakeSettler, 0xc1a126c74d783245ULL, 2, 20, 11, 9},
+      {ByzStrategy::kSilentSettler, 0xcbf29ce484222325ULL, 0, 20, 0, 3},
+      {ByzStrategy::kIntentSpammer, 0x672a99eb4aa10605ULL, 3, 20, 20, 60},
+      {ByzStrategy::kMapLiar, 0x3013c9d3a0408825ULL, 2, 20, 5, 80},
+      {ByzStrategy::kSpoofer, 0xa4b890ec39486be5ULL, 3, 20, 12, 340},
+  };
+  expect_matches_golden(goldens, 9, 10, ByzSchedule{0});
 }
 
 TEST(CompiledStrategy, MatchesCoroutineWithChargedWindows) {
   ByzSchedule sched{3};
   sched.charged = {{5, 8}, {11, 13}};
-  for (const auto& [s, fault] : conformance_cases()) {
-    const Heard a = observe_program(s, fault, false, 7, 12, sched);
-    const Heard b = observe_program(s, fault, true, 7, 12, sched);
-    expect_identical_observation(a, b, to_string(s) + " charged");
-  }
+  const std::vector<Golden> goldens = {
+      {ByzStrategy::kCrash, 0xcbf29ce484222325ULL, 0, 20, 0, 0},
+      {ByzStrategy::kRandomWalker, 0xcbf29ce484222325ULL, 0, 20, 12, 12},
+      {ByzStrategy::kSquatter, 0x7efd7754c535d988ULL, 0, 20, 0, 12},
+      {ByzStrategy::kFakeSettler, 0xcbf29ce484222325ULL, 1, 20, 6, 6},
+      {ByzStrategy::kSilentSettler, 0x8ac9f783b5be4108ULL, 0, 20, 0, 3},
+      {ByzStrategy::kIntentSpammer, 0xcbf29ce484222325ULL, 0, 20, 12, 36},
+      {ByzStrategy::kMapLiar, 0x04f4aff706979446ULL, 2, 20, 3, 48},
+      {ByzStrategy::kSpoofer, 0x3ffcf36e02868404ULL, 0, 20, 6, 204},
+  };
+  expect_matches_golden(goldens, 7, 12, sched);
 }
 
 TEST(Byzantine, StrategyNamesAreUniqueAndComplete) {
