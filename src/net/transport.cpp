@@ -27,6 +27,11 @@ sockaddr_in loopback_addr(const std::string& host, std::uint16_t port) {
 
 }  // namespace
 
+bool is_ipv4_address(const std::string& host) {
+  in_addr addr{};
+  return ::inet_pton(AF_INET, host.c_str(), &addr) == 1;
+}
+
 // --- Connection ------------------------------------------------------------
 
 Connection::Connection(int fd) : fd_(fd) {

@@ -99,6 +99,10 @@ class Listener {
   std::uint16_t port_ = 0;
 };
 
+/// Whether `host` is a dotted IPv4 address, the only host form dial
+/// accepts (it throws on anything else).
+[[nodiscard]] bool is_ipv4_address(const std::string& host);
+
 /// Dial host:port once; nullptr on refusal/unreachable.
 [[nodiscard]] std::unique_ptr<Connection> dial(const std::string& host,
                                                std::uint16_t port);

@@ -1,8 +1,13 @@
 #include "run/cli_flags.h"
 
+#include <charconv>
 #include <cstring>
+#include <fstream>
+#include <iostream>
 #include <sstream>
+#include <stdexcept>
 
+#include "net/transport.h"
 #include "run/report.h"
 
 namespace bdg::run {
@@ -31,14 +36,45 @@ constexpr struct {
     {"spoofer", core::ByzStrategy::kSpoofer},
 };
 
-std::optional<std::string> value_of(const char* arg, const char* flag) {
-  const std::size_t len = std::strlen(flag);
-  if (std::strncmp(arg, flag, len) == 0 && arg[len] == '=')
-    return std::string(arg + len + 1);
-  return std::nullopt;
+bool write_report(const char* prog, const std::string& path,
+                  const SweepResult& result,
+                  void (*write)(std::ostream&, const SweepResult&)) {
+  if (path == "-") {
+    write(std::cout, result);
+    return true;
+  }
+  std::ofstream os(path);
+  write(os, result);
+  os.flush();
+  if (!os) std::fprintf(stderr, "%s: cannot write %s\n", prog, path.c_str());
+  return static_cast<bool>(os);
 }
 
 }  // namespace
+
+std::optional<std::string> value_of(const std::string& arg, const char* flag) {
+  const std::size_t len = std::strlen(flag);
+  if (arg.compare(0, len, flag) == 0 && arg.size() > len && arg[len] == '=')
+    return arg.substr(len + 1);
+  return std::nullopt;
+}
+
+std::uint64_t parse_unsigned(const std::string& text, const char* flag,
+                             std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  // from_chars takes no sign for an unsigned type, so "-5" and "+5" fail
+  // here instead of wrapping the way stoul does.
+  if (text.empty() || ec == std::errc::invalid_argument || ptr != end)
+    throw std::invalid_argument(std::string(flag) + ": '" + text +
+                                "' is not an unsigned decimal number");
+  if (ec == std::errc::result_out_of_range || value > max)
+    throw std::invalid_argument(std::string(flag) + ": " + text +
+                                " is out of range (max " +
+                                std::to_string(max) + ")");
+  return value;
+}
 
 SweepSpec default_cli_spec() {
   SweepSpec spec;
@@ -78,7 +114,7 @@ GridFlagsResult parse_grid_flags(int argc, char** argv, SweepSpec& spec) {
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (auto v = value_of(argv[i], "--algorithms")) {
+      if (auto v = value_of(arg, "--algorithms")) {
         for (const std::string& name : split(*v, ',')) {
           if (name == "all") {
             for (const auto& a : cli_algorithms())
@@ -89,7 +125,7 @@ GridFlagsResult parse_grid_flags(int argc, char** argv, SweepSpec& spec) {
           if (!a) return fail("unknown algorithm '" + name + "'");
           spec.algorithms.push_back(*a);
         }
-      } else if (auto v = value_of(argv[i], "--families")) {
+      } else if (auto v = value_of(arg, "--families")) {
         spec.families.clear();
         for (const std::string& name : split(*v, ',')) {
           if (name == "all") {
@@ -100,44 +136,43 @@ GridFlagsResult parse_grid_flags(int argc, char** argv, SweepSpec& spec) {
             spec.families.push_back(name);  // expand_grid validates
           }
         }
-      } else if (auto v = value_of(argv[i], "--sizes")) {
+      } else if (auto v = value_of(arg, "--sizes")) {
         spec.sizes.clear();
         for (const std::string& n : split(*v, ','))
-          spec.sizes.push_back(static_cast<std::uint32_t>(std::stoul(n)));
-      } else if (auto v = value_of(argv[i], "--k")) {
+          spec.sizes.push_back(parse_unsigned<std::uint32_t>(n, "--sizes"));
+      } else if (auto v = value_of(arg, "--k")) {
         for (const std::string& k : split(*v, ','))
-          spec.robot_counts.push_back(
-              static_cast<std::uint32_t>(std::stoul(k)));
-      } else if (auto v = value_of(argv[i], "--byz")) {
+          spec.robot_counts.push_back(parse_unsigned<std::uint32_t>(k, "--k"));
+      } else if (auto v = value_of(arg, "--byz")) {
         for (const std::string& f : split(*v, ','))
           spec.byzantine_counts.push_back(
-              static_cast<std::uint32_t>(std::stoul(f)));
-      } else if (auto v = value_of(argv[i], "--seeds")) {
+              parse_unsigned<std::uint32_t>(f, "--byz"));
+      } else if (auto v = value_of(arg, "--seeds")) {
         spec.seeds.clear();
         for (const std::string& s : split(*v, ','))
-          spec.seeds.push_back(std::stoull(s));
-      } else if (auto v = value_of(argv[i], "--strategy")) {
+          spec.seeds.push_back(parse_unsigned<std::uint64_t>(s, "--seeds"));
+      } else if (auto v = value_of(arg, "--strategy")) {
         const auto s = core::strategy_from_string(*v);
         if (!s) return fail("unknown strategy '" + *v + "'");
         spec.strategy = *s;
         spec.strategy_follows_algorithm = false;
-      } else if (auto v = value_of(argv[i], "--mix")) {
+      } else if (auto v = value_of(arg, "--mix")) {
         for (const std::string& text : split(*v, ',')) {
           const auto mix = mix_from_string(text);
           if (!mix) return fail("unknown strategy in mix '" + text + "'");
           spec.strategy_mixes.push_back(*mix);
         }
-      } else if (auto v = value_of(argv[i], "--shard")) {
+      } else if (auto v = value_of(arg, "--shard")) {
         const std::size_t slash = v->find('/');
         if (slash == std::string::npos)
           return fail("--shard wants i/m, got '" + *v + "'");
         spec.shard_index =
-            static_cast<unsigned>(std::stoul(v->substr(0, slash)));
+            parse_unsigned<unsigned>(v->substr(0, slash), "--shard");
         spec.shard_count =
-            static_cast<unsigned>(std::stoul(v->substr(slash + 1)));
+            parse_unsigned<unsigned>(v->substr(slash + 1), "--shard");
         if (spec.shard_count == 0 || spec.shard_index >= spec.shard_count)
           return fail("--shard needs i < m, got '" + *v + "'");
-      } else if (auto v = value_of(argv[i], "--resume")) {
+      } else if (auto v = value_of(arg, "--resume")) {
         spec.checkpoint_path = *v;
       } else if (arg == "--no-timing") {
         spec.measure_seconds = false;
@@ -147,18 +182,21 @@ GridFlagsResult parse_grid_flags(int argc, char** argv, SweepSpec& spec) {
         spec.require_trivial_quotient = true;
       } else if (arg == "--common-graphs") {
         spec.common_graphs = true;
-      } else if (auto v = value_of(argv[i], "--er-p")) {
-        spec.er_edge_probability = std::stod(*v);
-      } else if (auto v = value_of(argv[i], "--base-seed")) {
-        spec.base_seed = std::stoull(*v);
-      } else if (auto v = value_of(argv[i], "--threads")) {
-        spec.threads = static_cast<unsigned>(std::stoul(*v));
+      } else if (auto v = value_of(arg, "--er-p")) {
+        std::size_t used = 0;
+        spec.er_edge_probability = std::stod(*v, &used);
+        if (used != v->size())
+          return fail("--er-p: '" + *v + "' is not a number");
+      } else if (auto v = value_of(arg, "--base-seed")) {
+        spec.base_seed = parse_unsigned<std::uint64_t>(*v, "--base-seed");
+      } else if (auto v = value_of(arg, "--threads")) {
+        spec.threads = parse_unsigned<unsigned>(*v, "--threads");
       } else {
         res.leftover.push_back(arg);
       }
     }
   } catch (const std::exception& e) {
-    // std::stoul and friends throw on malformed numbers: a usage error.
+    // parse_unsigned and stod throw on malformed numbers: a usage error.
     return fail(std::string("bad flag value (") + e.what() + ")");
   }
   return res;
@@ -220,29 +258,95 @@ void print_grid_name_lists(std::FILE* to) {
   for (const auto& s : kStrategies) std::fprintf(to, "  %s\n", s.name);
 }
 
-bool parse_host_port(const std::string& text, std::string& host,
+void parse_host_port(const std::string& text, std::string& host,
                      std::uint16_t& port) {
-  std::string host_part = "127.0.0.1";
-  std::string port_part = text;
   const std::size_t colon = text.rfind(':');
-  if (colon != std::string::npos) {
-    host_part = text.substr(0, colon);
-    port_part = text.substr(colon + 1);
-    if (host_part.empty()) return false;
-  }
-  if (port_part.empty() ||
-      port_part.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  unsigned long value = 0;
-  try {
-    value = std::stoul(port_part);
-  } catch (const std::exception&) {
-    return false;
-  }
-  if (value == 0 || value > 65535) return false;
+  const bool bare = colon == std::string::npos;
+  const std::string host_part = bare ? "127.0.0.1" : text.substr(0, colon);
+  if (!net::is_ipv4_address(host_part))
+    throw std::invalid_argument("--connect: host '" + host_part +
+                                "' is not a dotted IPv4 address");
+  const auto value = parse_unsigned<std::uint16_t>(
+      bare ? text : text.substr(colon + 1), "--connect");
+  if (value == 0) throw std::invalid_argument("--connect: port 0");
   host = host_part;
-  port = static_cast<std::uint16_t>(value);
+  port = value;
+}
+
+bool parse_report_flag(const std::string& arg, ReportFlags& out) {
+  if (auto v = value_of(arg, "--points-csv"))
+    out.points_csv = *v;
+  else if (auto v = value_of(arg, "--cells-csv"))
+    out.cells_csv = *v;
+  else if (auto v = value_of(arg, "--json"))
+    out.json = *v;
+  else if (arg == "--quiet")
+    out.quiet = true;
+  else
+    return false;
   return true;
+}
+
+void print_report_flag_help(std::FILE* to) {
+  std::fputs(
+      "output:\n"
+      "  --points-csv=PATH      per-point CSV ('-' = stdout)\n"
+      "  --cells-csv=PATH       per-cell aggregate CSV ('-' = stdout)\n"
+      "  --json=PATH            full JSON report ('-' = stdout)\n"
+      "  --quiet                suppress the summary line\n",
+      to);
+}
+
+int finish_sweep(const char* prog, const SweepResult& result,
+                 const ReportFlags& out, const std::string& detail) {
+  bool write_ok = true;
+  if (!out.points_csv.empty())
+    write_ok &= write_report(prog, out.points_csv, result, write_points_csv);
+  if (!out.cells_csv.empty())
+    write_ok &= write_report(prog, out.cells_csv, result, write_cells_csv);
+  if (!out.json.empty())
+    write_ok &= write_report(prog, out.json, result, write_json);
+  if (out.points_csv.empty() && out.cells_csv.empty() && out.json.empty())
+    write_points_csv(std::cout, result);
+
+  std::size_t failed = 0;
+  std::size_t saturated = 0;
+  const PointResult* first_saturated = nullptr;
+  for (const PointResult& p : result.points) {
+    if (!p.skipped && !p.ok) ++failed;
+    if (p.saturated) {
+      ++saturated;
+      if (first_saturated == nullptr) first_saturated = &p;
+    }
+  }
+  if (!out.quiet) {
+    std::fprintf(stderr,
+                 "[%s: %zu points, %zu skipped, %zu failed, "
+                 "%zu from checkpoint%s%s, %.2fs]\n",
+                 prog, result.points.size(), result.skipped(), failed,
+                 result.from_checkpoint, result.aborted ? ", ABORTED" : "",
+                 detail.c_str(), result.wall_seconds);
+    if (result.torn_checkpoint_lines != 0)
+      std::fprintf(stderr,
+                   "[%s: %zu torn checkpoint line(s) skipped and "
+                   "re-run — a previous run crashed mid-append]\n",
+                   prog, result.torn_checkpoint_lines);
+  }
+  if (saturated != 0) {
+    // Reject the grid loudly, before any other verdict: a bound past
+    // 2^128-1 cannot be swept, and a skip row alone is invisible when
+    // --progress is off.
+    std::fprintf(stderr,
+                 "%s: %zu grid point(s) exceed 128-bit round "
+                 "accounting; first offender: (%s, n=%u, f=%u). Shrink the "
+                 "grid (or the cost model) below the saturation frontier.\n",
+                 prog, saturated,
+                 core::to_string(first_saturated->point.algorithm).c_str(),
+                 first_saturated->point.n, first_saturated->point.f);
+    return 4;
+  }
+  if (failed != 0 || !write_ok) return 1;
+  return result.aborted ? 3 : 0;
 }
 
 }  // namespace bdg::run

@@ -4,8 +4,12 @@
 // SAME grid from the same flags — grid_fingerprint rejects drift at the
 // hello handshake, but sharing the parser removes the temptation to drift
 // in the first place. sweep_cli delegates here too, so one flag vocabulary
-// drives single-shot, distributed and worker processes alike.
+// drives single-shot, distributed and worker processes alike. Every
+// front-end (sweep_query included) parses numbers through parse_unsigned,
+// and sweep_cli and sweepd end through the same finish_sweep.
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -13,6 +17,25 @@
 #include "run/sweep.h"
 
 namespace bdg::run {
+
+/// The value of `--flag=value` in `arg`; nullopt when `arg` is another
+/// flag.
+[[nodiscard]] std::optional<std::string> value_of(const std::string& arg,
+                                                  const char* flag);
+
+/// Parse `text`, the value of `flag`, as a plain decimal no larger than
+/// `max`. A sign, any non-digit, an empty value or a value past `max`
+/// throws std::invalid_argument naming the flag — never a silent
+/// narrowing.
+[[nodiscard]] std::uint64_t parse_unsigned(const std::string& text,
+                                           const char* flag, std::uint64_t max);
+
+/// parse_unsigned bounded by the range of T.
+template <typename T>
+[[nodiscard]] T parse_unsigned(const std::string& text, const char* flag) {
+  return static_cast<T>(
+      parse_unsigned(text, flag, std::numeric_limits<T>::max()));
+}
 
 /// A SweepSpec with the CLI defaults (families {"er"}, sizes {8,12,16})
 /// rather than the library defaults — the starting point every sweep
@@ -59,11 +82,35 @@ void print_grid_flag_help(std::FILE* to);
 /// Print the accepted algorithm and strategy name lists.
 void print_grid_name_lists(std::FILE* to);
 
-/// Parse a "HOST:PORT" (or bare "PORT", meaning 127.0.0.1) connection
-/// flag value into host/port. false on a malformed or zero port — shared
-/// by sweep_worker's and sweep_query's --connect so the two front-ends
-/// cannot drift in address spelling.
-[[nodiscard]] bool parse_host_port(const std::string& text, std::string& host,
-                                   std::uint16_t& port);
+/// Parse a "HOST:PORT" (or bare "PORT", meaning 127.0.0.1) --connect
+/// value into host/port. Throws std::invalid_argument on a host that is
+/// not dotted IPv4 (the only form net::dial accepts) or a malformed or
+/// zero port — shared by sweep_worker and sweep_query so the two
+/// front-ends cannot drift in address spelling.
+void parse_host_port(const std::string& text, std::string& host,
+                     std::uint16_t& port);
+
+/// Report destinations shared by sweep_cli and sweepd.
+struct ReportFlags {
+  std::string points_csv, cells_csv, json;
+  bool quiet = false;
+};
+
+/// Take `arg` into `out` if it is a report flag (--points-csv, --cells-csv,
+/// --json, --quiet); false otherwise.
+[[nodiscard]] bool parse_report_flag(const std::string& arg, ReportFlags& out);
+
+/// Print the report flags' help section.
+void print_report_flag_help(std::FILE* to);
+
+/// The common tail of sweep_cli and sweepd: write the requested reports
+/// (points CSV on stdout when none is requested), print the summary line
+/// `[prog: N points, ... from checkpoint<detail>, Ts]` unless quiet, and
+/// return the exit code — 4 when a point saturated 128-bit round
+/// accounting (the first offender is named on stderr), 1 on failed points
+/// or an unwritable report, 3 when the sweep aborted, else 0.
+[[nodiscard]] int finish_sweep(const char* prog, const SweepResult& result,
+                               const ReportFlags& out,
+                               const std::string& detail = "");
 
 }  // namespace bdg::run

@@ -5,17 +5,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <deque>
-#include <fstream>
 #include <map>
-#include <mutex>
+#include <ostream>
 #include <sstream>
-#include <stdexcept>
 #include <vector>
 
 #include "run/report.h"
 #include "util/json_mini.h"
-#include "util/parallel.h"
 
 namespace bdg::run {
 namespace {
@@ -80,6 +76,58 @@ std::string msg_lease_done(std::uint64_t lease_id) {
 
 std::string msg_shutdown() { return "{\"type\": \"shutdown\"}"; }
 
+// The CoordinatorStats counters by wire name, in wire order: the progress
+// writer and run_query's parser both walk this one table.
+constexpr struct {
+  const char* name;
+  std::size_t CoordinatorStats::*member;
+} kStatFields[] = {
+    {"workers_seen", &CoordinatorStats::workers_seen},
+    {"workers_rejected", &CoordinatorStats::workers_rejected},
+    {"leases_granted", &CoordinatorStats::leases_granted},
+    {"leases_reassigned", &CoordinatorStats::leases_reassigned},
+    {"duplicate_results", &CoordinatorStats::duplicate_results},
+    {"local_fallback_points", &CoordinatorStats::local_fallback_points},
+    {"protocol_errors", &CoordinatorStats::protocol_errors},
+    {"clients_seen", &CoordinatorStats::clients_seen},
+    {"queries_answered", &CoordinatorStats::queries_answered},
+};
+
+/// Decode a query frame (run_query encodes it). An absent `what` stays
+/// empty and is answered with an error; selectors that do not parse are
+/// wildcards.
+QueryRequest parse_query(const std::string& payload) {
+  QueryRequest q;
+  q.what.clear();
+  json::find_string(payload, "what", q.what);
+  std::string s;
+  if (json::find_string(payload, "algorithm", s)) q.algorithm = s;
+  if (json::find_string(payload, "family", s)) q.family = s;
+  if (json::find_string(payload, "mix", s)) q.mix = s;
+  std::uint32_t u = 0;
+  if (json::find_u32(payload, "n", u)) q.n = u;
+  if (json::find_u32(payload, "k", u)) q.k = u;
+  if (json::find_u32(payload, "f", u)) q.f = u;
+  std::uint64_t v = 0;
+  if (json::find_u64(payload, "index", v)) q.index = v;
+  if (json::find_u64(payload, "derived_seed", v)) q.derived_seed = v;
+  return q;
+}
+
+std::string msg_result(std::uint64_t id, const QueryReply& r) {
+  std::ostringstream h;
+  h << "{\"type\": \"result\", \"id\": " << id << ", \"what\": \""
+    << json::escape(r.what) << "\", \"count\": " << r.bodies.size();
+  if (!r.error.empty()) h << ", \"error\": \"" << json::escape(r.error) << "\"";
+  if (r.pending) h << ", \"pending\": true";
+  if (r.what == "progress") {
+    h << ", ";
+    write_progress_fields(h, r);
+  }
+  h << "}";
+  return h.str();
+}
+
 // Each shimmed connection uses schedule seed (base seed + connection
 // index): still a pure function of the config, but a schedule that eats
 // the handshake frame cannot livelock reconnects by eating it identically
@@ -91,365 +139,99 @@ net::FaultConfig offset_fault(net::FaultConfig cfg, std::uint64_t index) {
 
 }  // namespace
 
+void write_progress_fields(std::ostream& os, const QueryReply& r) {
+  os << "\"total\": " << r.total << ", \"completed\": " << r.completed
+     << ", \"restored\": " << r.restored << ", \"cells\": " << r.cells
+     << ", \"done\": " << (r.done ? "true" : "false");
+  for (const auto& field : kStatFields)
+    os << ", \"" << field.name << "\": " << r.stats.*field.member;
+}
+
 // ---------------------------------------------------------------------------
 // Coordinator
 // ---------------------------------------------------------------------------
 
-struct Coordinator::Impl {
-  SweepSpec spec;
-  ServiceConfig svc;
-  net::Listener listener;
-
-  Impl(SweepSpec s, ServiceConfig c)
-      : spec(std::move(s)), svc(std::move(c)), listener(svc.port) {}
-};
-
 Coordinator::Coordinator(SweepSpec spec, ServiceConfig svc)
-    : impl_(std::make_unique<Impl>(std::move(spec), std::move(svc))) {}
-
-Coordinator::~Coordinator() = default;
-
-std::uint16_t Coordinator::port() const { return impl_->listener.port(); }
+    : spec_(std::move(spec)), svc_(std::move(svc)), listener_(svc_.port) {}
 
 SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
-  const SweepSpec& spec = impl_->spec;
-  const ServiceConfig& svc = impl_->svc;
-
-  SweepResult result;
-  const std::vector<SweepPoint> grid = expand_grid(spec);
-  const std::uint64_t fp = spec_fingerprint(spec);
-  const std::uint64_t gfp = grid_fingerprint(spec, grid);
-  const auto t0 = Clock::now();
-
-  const RestoredCheckpoint restored =
-      restore_checkpoint(spec, grid, result.points);
-  result.from_checkpoint = restored.restored;
-  result.torn_checkpoint_lines = restored.torn;
-
-  std::vector<char> have(grid.size(), 1);
-  for (const std::size_t i : restored.todo) have[i] = 0;
-
-  // Results are keyed by derived seed on the wire (they ARE checkpoint
-  // records); map them back to their grid index to merge in place. The
-  // WHOLE grid is indexed, not just the todo stripe: a worker surviving a
-  // coordinator restart + --resume may re-stream results the checkpoint
-  // already holds, and those must count as duplicates, not protocol
-  // errors. Point queries by derived seed resolve through the same map.
-  // util::FlatMap: lookup-only, and structurally un-iterable — merge order
-  // is delivery order, grid order is the only report order.
-  util::FlatMap<std::uint64_t, std::size_t> seed_to_index;
-  seed_to_index.reserve(grid.size());
-  for (std::size_t i = 0; i < grid.size(); ++i)
-    seed_to_index[point_seed(spec.base_seed, grid[i])] = i;
-
-  // Live cell aggregates: every restored/merged point folds in as it
-  // lands (restored ones here, in grid order), so queries are answered
-  // from state that is bit-identical to a full rebuild at any instant.
-  CellAggregator agg;
-  for (std::size_t i = 0; i < grid.size(); ++i)
-    if (have[i]) agg.add(i, result.points[i]);
-
-  // Per-grid-index merge bookkeeping: the lease currently owning each
-  // index (0 = none). With it, retiring a merged result is O(lease size)
-  // instead of a scan over every lease and the whole pending deque;
-  // pending membership is implicit (not owned, no result yet) and stale
-  // entries are skipped lazily at grant/fallback time.
-  std::vector<std::uint64_t> owner(grid.size(), 0);
-
-  std::ofstream ck;
-  if (!spec.checkpoint_path.empty() && !restored.todo.empty()) {
-    ck.open(spec.checkpoint_path, std::ios::app);
-    if (!ck)
-      throw std::runtime_error("sweepd: cannot open checkpoint " +
-                               spec.checkpoint_path);
-  }
-
-  std::deque<std::size_t> pending(restored.todo.begin(), restored.todo.end());
-  const std::size_t need = restored.todo.size();
-  std::size_t merged = 0;
-  bool aborted = false;
+  SweepLedger ledger(spec_, std::chrono::milliseconds(svc_.lease_timeout_ms));
+  CoordinatorStats& stats = ledger.stats();
 
   struct WorkerSlot {
     std::unique_ptr<net::Channel> ch;
-    std::string name;
     bool greeted = false;
     bool is_client = false;  ///< sent a query: never leased, never reaped
-    std::uint64_t lease_id = 0;  ///< 0 = idle
     Clock::time_point connected_at;
   };
-  struct LeaseState {
-    std::vector<std::size_t> remaining;  ///< indices without a result yet
-    int slot = -1;
-    Clock::time_point deadline;
-  };
   std::map<int, WorkerSlot> slots;
-  std::map<std::uint64_t, LeaseState> leases;
   int next_slot = 0;
-  std::uint64_t next_lease = 1;
   Clock::time_point last_live = Clock::now();
 
-  // `mu` serializes merges: the event loop is single-threaded, but the
-  // zero-worker local fallback runs points through parallel_for_index and
-  // merges from its worker threads (exactly as run_sweep does).
-  std::mutex mu;
-
-  // Revoke a worker's lease (re-queueing what it still owed at the FRONT,
-  // preserving near-grid-order dispatch) and drop its connection.
   const auto drop_worker = [&](int sid) {
     const auto it = slots.find(sid);
     if (it == slots.end()) return;
-    if (it->second.lease_id != 0) {
-      const auto lit = leases.find(it->second.lease_id);
-      if (lit != leases.end()) {
-        if (!lit->second.remaining.empty()) {
-          ++stats_.leases_reassigned;
-          for (auto r = lit->second.remaining.rbegin();
-               r != lit->second.remaining.rend(); ++r) {
-            owner[*r] = 0;
-            pending.push_front(*r);
-          }
-        }
-        leases.erase(lit);
-      }
-    }
+    ledger.release(sid);
     it->second.ch->shutdown();
     slots.erase(it);
-  };
-
-  // Merge one completed PointResult: place it at its grid index, append it
-  // to the checkpoint, retire it from whichever lease/queue still lists it.
-  // Duplicates (a re-run after reassignment racing the original delivery)
-  // are ignored — results are deterministic per derived seed, so whichever
-  // copy lands first is THE result.
-  const auto merge_result = [&](PointResult&& pr) {
-    const std::size_t* found = seed_to_index.find(pr.derived_seed);
-    if (found == nullptr || !same_point(pr.point, grid[*found])) {
-      ++stats_.protocol_errors;
-      return;
-    }
-    const std::size_t idx = *found;
-    if (have[idx]) {
-      ++stats_.duplicate_results;
-      return;
-    }
-    result.points[idx] = std::move(pr);
-    have[idx] = 1;
-    ++merged;
-    agg.add(idx, result.points[idx]);
-    // O(1) retirement via the owner map: only the owning lease (if any)
-    // is touched; a pending entry for this index (duplicate racing a
-    // reassignment) is skipped lazily when the queue is next drained.
-    if (owner[idx] != 0) {
-      const auto lit = leases.find(owner[idx]);
-      if (lit != leases.end()) {
-        auto& rem = lit->second.remaining;
-        const auto rit = std::find(rem.begin(), rem.end(), idx);
-        if (rit != rem.end()) rem.erase(rit);
-      }
-      owner[idx] = 0;
-    }
-    if (ck.is_open())
-      append_checkpoint_line(ck, spec.checkpoint_path, result.points[idx], fp);
-    if (spec.progress &&
-        !spec.progress(result.points[idx], result.from_checkpoint + merged,
-                       grid.size()))
-      aborted = true;
-  };
-
-  // Answer one query frame: a flat `result` header echoing the query id,
-  // then `count` body frames that are byte-identical to the report's
-  // per-cell / per-point JSON objects. Snapshots under `mu` because the
-  // local fallback merges (and folds the aggregator) from worker threads.
-  // false = client connection broken; drop it.
-  const auto answer_query = [&](WorkerSlot& w,
-                                const std::string& payload) -> bool {
-    std::uint64_t qid = 0;
-    json::find_u64(payload, "id", qid);
-    std::string what;
-    json::find_string(payload, "what", what);
-
-    std::string error;
-    bool pending_point = false;
-    std::vector<std::string> bodies;
-    std::uint64_t live_cells = 0;
-    std::uint64_t completed = 0;
-    bool done = false;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      live_cells = agg.cell_count();
-      completed = result.from_checkpoint + merged;
-      done = merged >= need;
-      if (what == "cells") {
-        std::optional<std::string> algorithm, family, mix;
-        std::string s;
-        if (json::find_string(payload, "algorithm", s)) algorithm = s;
-        if (json::find_string(payload, "family", s)) family = s;
-        if (json::find_string(payload, "mix", s)) mix = s;
-        std::uint32_t u = 0;
-        std::optional<std::uint32_t> n, k, f;
-        if (json::find_u32(payload, "n", u)) n = u;
-        if (json::find_u32(payload, "k", u)) k = u;
-        if (json::find_u32(payload, "f", u)) f = u;
-        for (const CellAggregate& c : agg.cells()) {
-          if (algorithm && *algorithm != core::to_string(c.algorithm)) continue;
-          if (family && *family != c.family) continue;
-          if (mix && *mix != mix_to_string(c.mix)) continue;
-          if (n && *n != c.n) continue;
-          if (k && *k != (c.k == 0 ? c.n : c.k)) continue;
-          if (f && *f != c.f) continue;
-          std::ostringstream os;
-          write_cell_json(os, c);
-          bodies.push_back(os.str());
-        }
-      } else if (what == "point") {
-        std::uint64_t seed = 0;
-        std::uint64_t index = 0;
-        std::size_t idx = grid.size();
-        if (json::find_u64(payload, "index", index)) {
-          if (index < grid.size())
-            idx = static_cast<std::size_t>(index);
-          else
-            error = "index out of range";
-        } else if (json::find_u64(payload, "derived_seed", seed)) {
-          const std::size_t* found = seed_to_index.find(seed);
-          if (found != nullptr)
-            idx = *found;
-          else
-            error = "unknown derived seed";
-        } else {
-          error = "point query needs derived_seed or index";
-        }
-        if (idx < grid.size()) {
-          if (have[idx]) {
-            std::ostringstream os;
-            write_point_json(os, result.points[idx]);
-            bodies.push_back(os.str());
-          } else {
-            pending_point = true;  // known point, no result yet
-          }
-        }
-      } else if (what != "progress") {
-        error = "unknown query what";
-      }
-    }
-
-    std::ostringstream h;
-    h << "{\"type\": \"result\", \"id\": " << qid << ", \"what\": \""
-      << json::escape(what) << "\", \"count\": " << bodies.size();
-    if (!error.empty()) h << ", \"error\": \"" << json::escape(error) << "\"";
-    if (pending_point) h << ", \"pending\": true";
-    if (what == "progress")
-      h << ", \"total\": " << grid.size() << ", \"completed\": " << completed
-        << ", \"restored\": " << result.from_checkpoint
-        << ", \"cells\": " << live_cells
-        << ", \"done\": " << (done ? "true" : "false")
-        << ", \"workers_seen\": " << stats_.workers_seen
-        << ", \"workers_rejected\": " << stats_.workers_rejected
-        << ", \"leases_granted\": " << stats_.leases_granted
-        << ", \"leases_reassigned\": " << stats_.leases_reassigned
-        << ", \"duplicate_results\": " << stats_.duplicate_results
-        << ", \"local_fallback_points\": " << stats_.local_fallback_points
-        << ", \"protocol_errors\": " << stats_.protocol_errors
-        << ", \"clients_seen\": " << stats_.clients_seen
-        << ", \"queries_answered\": " << stats_.queries_answered;
-    h << "}";
-    if (!w.ch->send_frame(h.str())) return false;
-    for (const std::string& body : bodies)
-      if (!w.ch->send_frame(body)) return false;
-    ++stats_.queries_answered;
-    return true;
   };
 
   // Handle one frame from slot `sid`; false = drop the connection.
   const auto handle_frame = [&](int sid, const std::string& payload) -> bool {
     WorkerSlot& w = slots.at(sid);
     std::string type;
-    if (json::find_string(payload, "type", type)) {
-      if (type == "query") {
-        if (!w.is_client) {
-          w.is_client = true;
-          ++stats_.clients_seen;
-        }
-        return answer_query(w, payload);
+    if (!json::find_string(payload, "type", type)) {
+      // No "type": a result — a verbatim checkpoint record.
+      auto entry = parse_checkpoint_line(payload);
+      if (!entry || entry->spec != ledger.spec_fingerprint())
+        ++stats.protocol_errors;
+      else
+        ledger.merge(sid, std::move(entry->result), Clock::now());
+      return true;
+    }
+    std::uint64_t id = 0;
+    json::find_u64(payload, "id", id);
+    if (type == "query") {
+      if (!w.is_client) {
+        w.is_client = true;
+        ++stats.clients_seen;
       }
-      if (type == "hello") {
-        if (merged >= need) {
-          // The grid finished while we kept serving queries: a worker
-          // (re)dialing in gets its shutdown at the handshake and exits
-          // cleanly instead of waiting for leases that will never come.
-          w.ch->send_frame(msg_shutdown());
-          return false;
-        }
-        std::uint64_t wspec = 0;
-        std::uint64_t wgrid = 0;
-        std::string name;
-        json::find_string(payload, "name", name);
-        if (json::find_u64(payload, "spec", wspec) &&
-            json::find_u64(payload, "grid", wgrid) && wspec == fp &&
-            wgrid == gfp) {
-          w.greeted = true;
-          w.name = name.empty() ? "worker#" + std::to_string(sid) : name;
-          return w.ch->send_frame(msg_hello_ok(svc.lease_timeout_ms));
-        }
-        ++stats_.workers_rejected;
-        w.ch->send_frame(msg_reject("grid/spec fingerprint mismatch"));
+      // One flat `result` header echoing the query id, then `count` body
+      // frames byte-identical to the report's per-cell/per-point objects.
+      const QueryReply reply = ledger.answer(parse_query(payload));
+      if (!w.ch->send_frame(msg_result(id, reply))) return false;
+      for (const std::string& body : reply.bodies)
+        if (!w.ch->send_frame(body)) return false;
+      ++stats.queries_answered;
+      return true;
+    }
+    if (type == "hello") {
+      if (ledger.complete()) {
+        // The grid finished while we kept serving queries: a worker
+        // (re)dialing in gets its shutdown at the handshake and exits
+        // cleanly instead of waiting for leases that will never come.
+        w.ch->send_frame(msg_shutdown());
         return false;
       }
-      if (type == "heartbeat") {
-        // Only a heartbeat carrying the slot's LIVE lease id extends its
-        // deadline. The idle ping (id 0) a leaseless worker emits every
-        // idle_recv_ms must not: after a lease_done is lost in transit,
-        // the stale lease would otherwise be re-extended forever by idle
-        // pings — a livelock where the worker waits for a lease and the
-        // coordinator waits for a deadline that never comes.
-        std::uint64_t id = 0;
-        if (json::find_u64(payload, "id", id) && id != 0 &&
-            id == w.lease_id) {
-          const auto lit = leases.find(id);
-          if (lit != leases.end())
-            lit->second.deadline =
-                Clock::now() + std::chrono::milliseconds(svc.lease_timeout_ms);
-        }
-        return true;
+      std::uint64_t wspec = 0;
+      std::uint64_t wgrid = 0;
+      if (json::find_u64(payload, "spec", wspec) &&
+          json::find_u64(payload, "grid", wgrid) &&
+          wspec == ledger.spec_fingerprint() &&
+          wgrid == ledger.grid_fingerprint()) {
+        w.greeted = true;
+        return w.ch->send_frame(msg_hello_ok(svc_.lease_timeout_ms));
       }
-      if (type == "lease_done") {
-        std::uint64_t id = 0;
-        if (json::find_u64(payload, "id", id) && id != 0 &&
-            id == w.lease_id) {
-          const auto lit = leases.find(id);
-          if (lit != leases.end()) {
-            if (!lit->second.remaining.empty()) {
-              // Results lost in transit: the worker claims it ran them, but
-              // they never arrived. Re-run them — idempotence makes that
-              // safe, and the checkpoint never saw them.
-              ++stats_.leases_reassigned;
-              for (auto r = lit->second.remaining.rbegin();
-                   r != lit->second.remaining.rend(); ++r)
-                pending.push_front(*r);
-            }
-            leases.erase(lit);
-          }
-          w.lease_id = 0;
-        }
-        return true;
-      }
-      ++stats_.protocol_errors;
-      return true;
+      ++stats.workers_rejected;
+      w.ch->send_frame(msg_reject("grid/spec fingerprint mismatch"));
+      return false;
     }
-    // No "type": a result — a verbatim checkpoint record.
-    auto entry = parse_checkpoint_line(payload);
-    if (!entry || entry->spec != fp) {
-      ++stats_.protocol_errors;
-      return true;
-    }
-    if (w.lease_id != 0) {
-      const auto lit = leases.find(w.lease_id);
-      if (lit != leases.end())
-        lit->second.deadline =
-            Clock::now() + std::chrono::milliseconds(svc.lease_timeout_ms);
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    merge_result(std::move(entry->result));
+    if (type == "heartbeat")
+      ledger.heartbeat(sid, id, Clock::now());
+    else if (type == "lease_done")
+      ledger.lease_done(sid, id);
+    else
+      ++stats.protocol_errors;
     return true;
   };
 
@@ -457,22 +239,22 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
   // done; the stop flag then ends serving WITHOUT marking the sweep
   // aborted (it did finish). Workers are dismissed the moment the grid
   // completes so only client connections outlive it.
-  bool serving = svc.serve_after_finish;
+  bool serving = svc_.serve_after_finish;
   bool workers_dismissed = false;
   while (true) {
     if (stop && stop->load()) {
-      if (merged < need) aborted = true;
+      ledger.abort();
       serving = false;
     }
-    if (aborted) break;
-    if (merged >= need && !serving) break;
+    if (ledger.aborted()) break;
+    if (ledger.complete() && !serving) break;
 
     // Accept every pending connection (shimmed when fault injection is on).
-    while (auto conn = impl_->listener.accept()) {
-      ++stats_.workers_seen;
+    while (auto conn = listener_.accept()) {
+      ++stats.workers_seen;
       WorkerSlot w;
       w.ch = net::maybe_shim(std::move(conn),
-                             offset_fault(svc.fault, stats_.workers_seen - 1));
+                             offset_fault(svc_.fault, stats.workers_seen - 1));
       w.connected_at = Clock::now();
       slots.emplace(next_slot++, std::move(w));
     }
@@ -486,7 +268,7 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
         try {
           st = w.ch->recv_frame(payload, 0);
         } catch (const std::exception&) {
-          ++stats_.protocol_errors;  // oversized frame: not one of ours
+          ++stats.protocol_errors;  // oversized frame: not one of ours
           dead.push_back(sid);
           break;
         }
@@ -495,18 +277,18 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
             dead.push_back(sid);
             break;
           }
-          if (aborted) break;
+          if (ledger.aborted()) break;
           continue;
         }
         if (st != net::RecvStatus::kTimeout) dead.push_back(sid);
         break;
       }
-      if (aborted) break;
+      if (ledger.aborted()) break;
     }
     for (const int sid : dead) drop_worker(sid);
     dead.clear();  // grant-phase failures below must not re-drop these
-    if (aborted) break;
-    if (merged >= need && !serving) break;
+    if (ledger.aborted()) break;
+    if (ledger.complete() && !serving) break;
 
     const auto now = Clock::now();
 
@@ -514,17 +296,15 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
     // connections that never completed the hello (their hello or our
     // hello_ok may have been dropped; the worker will redial). Clients
     // never greet: they are exempt.
-    std::vector<int> expired;
-    for (const auto& [id, ls] : leases)
-      if (now >= ls.deadline) expired.push_back(ls.slot);
+    std::vector<int> expired = ledger.expired(now);
     for (const auto& [sid, w] : slots)
       if (!w.greeted && !w.is_client &&
           ms_between(w.connected_at, now) >
-              static_cast<std::int64_t>(svc.lease_timeout_ms))
+              static_cast<std::int64_t>(svc_.lease_timeout_ms))
         expired.push_back(sid);
     for (const int sid : expired) drop_worker(sid);
 
-    if (merged >= need) {
+    if (ledger.complete()) {
       // Grid complete, still serving queries: dismiss the workers once —
       // they exit kShutdown instead of idling against a finished sweep —
       // and keep polling for clients until the stop flag ends serving.
@@ -540,68 +320,29 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
       }
     } else {
       // Grant leases to idle greeted workers, front of the queue first.
-      // Entries merged while queued (duplicate deliveries racing a
-      // reassignment) were deleted lazily: skip them here.
       for (auto& [sid, w] : slots) {
-        if (!w.greeted || w.lease_id != 0 || pending.empty()) continue;
-        std::vector<std::size_t> batch;
-        while (!pending.empty() && batch.size() < svc.lease_points) {
-          const std::size_t idx = pending.front();
-          pending.pop_front();
-          if (have[idx]) continue;  // lazily deleted: already merged
-          batch.push_back(idx);
-        }
-        if (batch.empty()) continue;
-        const std::uint64_t id = next_lease++;
-        if (!w.ch->send_frame(msg_lease(id, batch))) {
-          for (auto r = batch.rbegin(); r != batch.rend(); ++r)
-            pending.push_front(*r);
-          dead.push_back(sid);  // reuse: drained below
-          continue;
-        }
-        for (const std::size_t idx : batch) owner[idx] = id;
-        leases.emplace(id, LeaseState{std::move(batch), sid,
-                                      now + std::chrono::milliseconds(
-                                                svc.lease_timeout_ms)});
-        w.lease_id = id;
-        ++stats_.leases_granted;
+        if (!w.greeted) continue;
+        bool sent = true;
+        ledger.grant(sid, svc_.lease_points, now,
+                     [&](std::uint64_t id, const std::vector<std::size_t>& b) {
+                       return sent = w.ch->send_frame(msg_lease(id, b));
+                     });
+        if (!sent) dead.push_back(sid);
       }
       for (const int sid : dead) drop_worker(sid);
-      dead.clear();
 
       // Graceful degradation: no WORKER reachable for idle_grace_ms with
-      // work still pending => run the remainder in-process through the
-      // exact run_point + merge path, instead of hanging on an empty
-      // fleet. Clients don't run points, so a connected query client must
-      // not keep a workerless sweep waiting.
-      bool worker_live = false;
-      for (const auto& [sid, w] : slots)
-        if (!w.is_client) {
-          worker_live = true;
-          break;
-        }
-      if (worker_live) {
+      // work still pending => run the remainder in-process with the
+      // executor run_sweep uses, instead of hanging on an empty fleet.
+      // Clients don't run points, so a connected query client must not
+      // keep a workerless sweep waiting.
+      if (std::any_of(slots.begin(), slots.end(),
+                      [](const auto& s) { return !s.second.is_client; })) {
         last_live = now;
-      } else if (svc.local_fallback && !pending.empty() && leases.empty() &&
+      } else if (svc_.local_fallback && ledger.unleased_work() &&
                  ms_between(last_live, now) >=
-                     static_cast<std::int64_t>(svc.idle_grace_ms)) {
-        std::vector<std::size_t> batch;
-        batch.reserve(pending.size());
-        for (const std::size_t idx : pending)
-          if (!have[idx]) batch.push_back(idx);  // skip lazily-deleted
-        pending.clear();
-        std::atomic<bool> cancel{false};
-        parallel_for_index(
-            batch.size(),
-            [&](std::size_t j) {
-              PointResult r = run_point(spec, grid[batch[j]]);
-              std::lock_guard<std::mutex> lock(mu);
-              ++stats_.local_fallback_points;
-              merge_result(std::move(r));
-              if (aborted || (stop && stop->load())) cancel.store(true);
-            },
-            spec.threads,
-            [&] { return cancel.load() || (stop && stop->load()); });
+                     static_cast<std::int64_t>(svc_.idle_grace_ms)) {
+        ledger.run_pending(stop);
         continue;  // re-evaluate: a late worker may have connected meanwhile
       }
     }
@@ -610,25 +351,12 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
     // flags and lease deadlines are honored promptly.
     std::vector<pollfd> fds;
     fds.reserve(slots.size() + 1);
-    if (impl_->listener.fd() >= 0)
-      fds.push_back({impl_->listener.fd(), POLLIN, 0});
+    if (listener_.fd() >= 0)
+      fds.push_back({listener_.fd(), POLLIN, 0});
     for (const auto& [sid, w] : slots)
       if (w.ch->fd() >= 0) fds.push_back({w.ch->fd(), POLLIN, 0});
     ::poll(fds.empty() ? nullptr : fds.data(),
            static_cast<nfds_t>(fds.size()), 20);
-  }
-
-  result.aborted = aborted;
-
-  // Unrun remainder of an aborted sweep: structured skips, exactly like
-  // run_sweep's abort path — and never checkpointed, so a resume re-runs.
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (have[i]) continue;
-    PointResult& r = result.points[i];
-    r.point = grid[i];
-    r.derived_seed = point_seed(spec.base_seed, grid[i]);
-    r.skipped = true;
-    r.skip_reason = "aborted before running (resume from checkpoint)";
   }
 
   // Orderly goodbye: workers still connected exit kShutdown instead of
@@ -639,14 +367,9 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
     w.ch->send_frame(msg_shutdown());
     w.ch->shutdown();
   }
-  impl_->listener.close();
-
-  if (spec.measure_seconds)
-    result.wall_seconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-
-  rebuild_cell_aggregates(result);
-  return result;
+  listener_.close();
+  stats_ = stats;
+  return ledger.finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -812,23 +535,10 @@ std::optional<QueryReply> run_query(const QueryRequest& req,
     json::find_u64(payload, "restored", reply.restored);
     json::find_u64(payload, "cells", reply.cells);
     json::find_bool(payload, "done", reply.done);
-    std::uint64_t v = 0;
-    if (json::find_u64(payload, "workers_seen", v)) reply.stats.workers_seen = v;
-    if (json::find_u64(payload, "workers_rejected", v))
-      reply.stats.workers_rejected = v;
-    if (json::find_u64(payload, "leases_granted", v))
-      reply.stats.leases_granted = v;
-    if (json::find_u64(payload, "leases_reassigned", v))
-      reply.stats.leases_reassigned = v;
-    if (json::find_u64(payload, "duplicate_results", v))
-      reply.stats.duplicate_results = v;
-    if (json::find_u64(payload, "local_fallback_points", v))
-      reply.stats.local_fallback_points = v;
-    if (json::find_u64(payload, "protocol_errors", v))
-      reply.stats.protocol_errors = v;
-    if (json::find_u64(payload, "clients_seen", v)) reply.stats.clients_seen = v;
-    if (json::find_u64(payload, "queries_answered", v))
-      reply.stats.queries_answered = v;
+    for (const auto& field : kStatFields) {
+      std::uint64_t v = 0;
+      if (json::find_u64(payload, field.name, v)) reply.stats.*field.member = v;
+    }
 
     bool lost_body = false;
     reply.bodies.reserve(count);

@@ -1,15 +1,15 @@
 #pragma once
 // sweepd: a fault-tolerant coordinator/worker sweep service.
 //
-// The coordinator owns the expanded grid and leases batches of point
-// indices to workers over localhost TCP (net/: length-prefixed frames whose
-// payloads are flat JSON — result frames are verbatim run/report.h
-// checkpoint records, so the wire format IS the on-disk resume format).
-// Workers run their leased points through the exact run_point the
-// single-process runner uses and stream the results back; the coordinator
-// merges them at their grid index and appends each to the spec's checkpoint
-// through append_checkpoint_line, so crash-recovery and byte-identical
-// resume carry over from the PR 3 machinery for free.
+// The coordinator keeps the sweep in a SweepLedger (run/ledger.h) and
+// leases batches of point indices to workers over localhost TCP (net/:
+// length-prefixed frames whose payloads are flat JSON — result frames are
+// verbatim run/report.h checkpoint records, so the wire format IS the
+// on-disk resume format). Workers run their leased points through the
+// exact run_point the single-process runner uses and stream the results
+// back; the ledger merges them at their grid index and appends each to the
+// spec's checkpoint, exactly as it does for run_sweep, so crash-recovery
+// and byte-identical resume carry over for free.
 //
 // Robustness model:
 //  * Leases carry deadlines. Any frame from the lease holder (results,
@@ -24,7 +24,8 @@
 //    grid (run::grid_fingerprint) before any lease is honored.
 //  * Zero reachable workers degrades gracefully: after idle_grace_ms with
 //    no live worker, the coordinator runs the remaining stripe in-process
-//    (same run_point, same merge path) instead of hanging.
+//    through SweepLedger::run_pending — the executor run_sweep itself is
+//    — instead of hanging.
 //  * A stop flag (sweepd wires SIGTERM to it) aborts cleanly: finished
 //    points are already flushed to the checkpoint, the remainder is marked
 //    as aborted skips exactly like run_sweep's abort path, and workers are
@@ -48,6 +49,7 @@
 //    also turns a finished checkpoint into a standalone query server.
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -55,7 +57,7 @@
 
 #include "net/fault.h"
 #include "net/transport.h"
-#include "run/sweep.h"
+#include "run/ledger.h"
 
 namespace bdg::run {
 
@@ -83,22 +85,6 @@ struct ServiceConfig {
   net::FaultConfig fault;  ///< shim mounted on this side's sends
 };
 
-struct CoordinatorStats {
-  std::size_t workers_seen = 0;       ///< connections accepted
-  std::size_t workers_rejected = 0;   ///< hellos with a foreign grid
-  std::size_t leases_granted = 0;
-  /// Leases revoked and re-queued: deadline missed, worker connection
-  /// died, or a lease_done arrived with results still missing (dropped in
-  /// transit). The conformance tier asserts this is > 0 when a worker is
-  /// killed mid-grid.
-  std::size_t leases_reassigned = 0;
-  std::size_t duplicate_results = 0;  ///< re-delivered/re-run, ignored
-  std::size_t local_fallback_points = 0;
-  std::size_t protocol_errors = 0;    ///< malformed/mismatched frames
-  std::size_t clients_seen = 0;       ///< connections that sent a query
-  std::size_t queries_answered = 0;   ///< complete responses sent
-};
-
 /// The sweepd coordinator. Construction binds the listener (throws when
 /// the port is taken) so callers can read port() before spawning workers;
 /// serve() runs the event loop to completion and returns the merged
@@ -106,19 +92,21 @@ struct CoordinatorStats {
 class Coordinator {
  public:
   Coordinator(SweepSpec spec, ServiceConfig svc);
-  ~Coordinator();
 
-  [[nodiscard]] std::uint16_t port() const;
+  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
 
   /// Serve until every grid point has a result (or the sweep aborts via
   /// spec.progress / `stop`). Not reentrant; call once.
   [[nodiscard]] SweepResult serve(const std::atomic<bool>* stop = nullptr);
 
+  /// Counters as serve() left them (set when it returns; progress queries
+  /// carry the live values).
   [[nodiscard]] const CoordinatorStats& stats() const { return stats_; }
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  SweepSpec spec_;
+  ServiceConfig svc_;
+  net::Listener listener_;
   CoordinatorStats stats_;
 };
 
@@ -160,42 +148,11 @@ enum class WorkerExit {
 // hello: the first query frame marks the connection as a client.
 // ---------------------------------------------------------------------------
 
-/// One query. `what` selects the answer shape:
-///  * "progress": no bodies; the header carries grid totals, completion
-///    and the coordinator's live ServiceStats counters.
-///  * "cells": every live cell aggregate matching the set selectors
-///    (unset = wildcard). Strings match the report's spelling —
-///    core::to_string names, mix_to_string mixes ("-" = no mix); k
-///    matches the resolved robot count (k == n points match their n).
-///  * "point": exactly one of derived_seed / index must be set; answers
-///    the completed point's report JSON, or pending=true when the point
-///    exists but has no result yet.
-struct QueryRequest {
-  std::string what = "progress";
-  std::optional<std::string> algorithm;
-  std::optional<std::string> family;
-  std::optional<std::string> mix;
-  std::optional<std::uint32_t> n;
-  std::optional<std::uint32_t> k;
-  std::optional<std::uint32_t> f;
-  std::optional<std::uint64_t> derived_seed;
-  std::optional<std::uint64_t> index;
-};
-
-/// A parsed response: header fields plus the verbatim body frames.
-struct QueryReply {
-  std::string what;
-  std::string error;     ///< coordinator-side rejection ("" = answered)
-  bool pending = false;  ///< point exists but has not completed yet
-  std::vector<std::string> bodies;  ///< verbatim report JSON objects
-  // Progress fields (what == "progress"):
-  std::uint64_t total = 0;      ///< grid points
-  std::uint64_t completed = 0;  ///< restored + merged so far
-  std::uint64_t restored = 0;   ///< placed from the checkpoint
-  std::uint64_t cells = 0;      ///< distinct live cells
-  bool done = false;            ///< every grid point has a result
-  CoordinatorStats stats;       ///< live counters snapshot
-};
+/// The progress fields of a reply as JSON members (`"total": N, ...,
+/// "done": B`, then every CoordinatorStats counter), no braces: the one
+/// spelling the coordinator's progress header and sweep_query's printer
+/// share.
+void write_progress_fields(std::ostream& os, const QueryReply& reply);
 
 struct QueryClientConfig {
   std::string host = "127.0.0.1";

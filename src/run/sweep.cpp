@@ -1,19 +1,17 @@
 #include "run/sweep.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <fstream>
-#include <mutex>
 #include <stdexcept>
 
 #include "core/impossibility.h"
 #include "graph/generators.h"
 #include "graph/quotient.h"
+#include "run/ledger.h"
 #include "run/report.h"
-#include "util/parallel.h"
 
 namespace bdg::run {
 namespace {
@@ -477,70 +475,9 @@ RestoredCheckpoint restore_checkpoint(const SweepSpec& spec,
 }
 
 SweepResult run_sweep(const SweepSpec& spec) {
-  SweepResult result;
-  const std::vector<SweepPoint> grid = expand_grid(spec);
-
-  const auto t0 = std::chrono::steady_clock::now();
-
-  const std::uint64_t fingerprint = spec_fingerprint(spec);
-  const RestoredCheckpoint restored =
-      restore_checkpoint(spec, grid, result.points);
-  result.from_checkpoint = restored.restored;
-  result.torn_checkpoint_lines = restored.torn;
-  const std::vector<std::size_t>& todo = restored.todo;
-  std::vector<char> have(grid.size(), 0);
-  for (std::size_t i = 0; i < grid.size(); ++i) have[i] = 1;
-  for (const std::size_t i : todo) have[i] = 0;
-
-  std::ofstream ck;
-  if (!spec.checkpoint_path.empty() && !todo.empty()) {
-    ck.open(spec.checkpoint_path, std::ios::app);
-    if (!ck)
-      throw std::runtime_error("run_sweep: cannot open checkpoint " +
-                               spec.checkpoint_path);
-  }
-
-  // Each point owns its Engine and Rng; results land at their grid index,
-  // so the output is byte-identical for every thread count.
-  std::mutex mu;
-  std::atomic<bool> aborted{false};
-  std::size_t completed = result.from_checkpoint;
-  parallel_for_index(
-      todo.size(),
-      [&](std::size_t j) {
-        const std::size_t i = todo[j];
-        PointResult r = run_point(spec, grid[i]);
-        std::lock_guard<std::mutex> lock(mu);
-        result.points[i] = std::move(r);
-        have[i] = 1;
-        ++completed;
-        if (ck.is_open())
-          append_checkpoint_line(ck, spec.checkpoint_path, result.points[i],
-                                 fingerprint);
-        if (spec.progress &&
-            !spec.progress(result.points[i], completed, grid.size()))
-          aborted.store(true);
-      },
-      spec.threads, [&] { return aborted.load(); });
-  result.aborted = aborted.load();
-
-  // Unrun remainder of an aborted sweep: structured skips, never silently
-  // absent rows — and never checkpointed, so a resume re-runs them.
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (have[i]) continue;
-    PointResult& r = result.points[i];
-    r.point = grid[i];
-    r.derived_seed = point_seed(spec.base_seed, grid[i]);
-    r.skipped = true;
-    r.skip_reason = "aborted before running (resume from checkpoint)";
-  }
-
-  const auto t1 = std::chrono::steady_clock::now();
-  if (spec.measure_seconds)
-    result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-
-  rebuild_cell_aggregates(result);
-  return result;
+  SweepLedger ledger(spec);
+  ledger.run_pending();
+  return ledger.finish();
 }
 
 void CellAggregator::fold(CellAggregate& cell, const Member& m) {
@@ -567,6 +504,9 @@ void CellAggregator::replay(State& st) {
   // An out-of-order arrival changes the running-mean evaluation order, so
   // re-fold this one cell's members in grid-index order — the exact
   // sequence the batch rebuild applies, hence bit-identical means.
+  std::sort(st.members.begin(), st.members.end(),
+            [](const Member& a, const Member& b) { return a.index < b.index; });
+  st.dirty = false;
   CellAggregate fresh;
   fresh.algorithm = st.agg.algorithm;
   fresh.family = st.agg.family;
@@ -617,19 +557,18 @@ void CellAggregator::add(std::size_t grid_index, const PointResult& p) {
   m.moves = p.stats.moves;
   m.messages = p.stats.messages;
   m.seconds = p.seconds;
-  if (st->members.empty() || st->members.back().index < grid_index) {
-    st->members.push_back(m);
-    fold(st->agg, m);  // in-order: the O(1) incremental recurrence
-    return;
-  }
-  const auto pos = std::lower_bound(
-      st->members.begin(), st->members.end(), grid_index,
-      [](const Member& a, std::size_t idx) { return a.index < idx; });
-  st->members.insert(pos, m);
-  replay(*st);
+  const bool in_order = !st->dirty && (st->members.empty() ||
+                                       st->members.back().index < grid_index);
+  st->members.push_back(m);
+  if (in_order)
+    fold(st->agg, m);  // the O(1) incremental recurrence
+  else
+    st->dirty = true;  // replayed once, by the next cells()
 }
 
-std::vector<CellAggregate> CellAggregator::cells() const {
+std::vector<CellAggregate> CellAggregator::cells() {
+  for (State& st : states_)
+    if (st.dirty) replay(st);
   // First-appearance (grid) order = ascending first member index. Members
   // are sorted, so members.front() is each cell's first grid appearance.
   std::vector<std::size_t> order(states_.size());

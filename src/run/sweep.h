@@ -287,15 +287,16 @@ struct SweepResult {
 [[nodiscard]] PointResult run_point(const SweepSpec& spec,
                                     const SweepPoint& p);
 
-/// Expand, run (in parallel), aggregate. Honors the spec's checkpoint
-/// (reuse + append), shard stripe and progress/abort callback.
+/// Expand, run (in parallel), aggregate: a SweepLedger (run/ledger.h) and
+/// its in-process executor. Honors the spec's checkpoint (reuse + append),
+/// shard stripe and progress/abort callback.
 [[nodiscard]] SweepResult run_sweep(const SweepSpec& spec);
 
 // ---------------------------------------------------------------------------
-// Shared internals of run_sweep and the sweepd coordinator (run/service).
-// Both execution paths restore, merge and aggregate through these exact
-// functions so a distributed sweep is byte-identical to single-shot by
-// construction, not by parallel maintenance.
+// Building blocks of SweepLedger (run/ledger.h), the one sweep state behind
+// both run_sweep and the sweepd coordinator (run/service), which is why a
+// distributed sweep is byte-identical to single-shot. They stay public for
+// callers that drive points one at a time themselves.
 // ---------------------------------------------------------------------------
 
 /// What restoring spec.checkpoint_path yielded for one expanded grid.
@@ -315,17 +316,18 @@ struct RestoredCheckpoint {
 
 /// Incrementally maintained (algorithm, family, n, k, f, mix) cell
 /// aggregates — the aggregation recurrence behind rebuild_cell_aggregates,
-/// extracted so the sweepd coordinator can fold every merged point into
-/// live aggregate state instead of rebuilding a full report per query.
+/// extracted so SweepLedger folds every merged point into live aggregate
+/// state instead of rebuilding a full report per query.
 ///
 /// Bit-identity contract: cells() is bit-identical (including the
 /// order-sensitive floating-point running means) to rebuild_cell_aggregates
 /// over the same set of points, REGARDLESS of the order add() saw them in.
-/// Each cell keeps its member points sorted by grid index; an in-order add
-/// folds in O(1) (the recurrence is incremental), an out-of-order add
-/// replays only that cell's members (bounded by the seeds-per-cell count,
-/// not the grid) so arrival order — lease reassignment, duplicate racing,
-/// local fallback — can never leak into the aggregates.
+/// An in-order add folds in O(1) (the recurrence is incremental); an
+/// out-of-order add only marks its cell, and the next cells() call sorts
+/// that cell's members by grid index and replays them once. So arrival
+/// order — parallel execution, lease reassignment, duplicate racing,
+/// resume — can never leak into the aggregates, and a burst of
+/// out-of-order adds costs one replay, not one per add.
 class CellAggregator {
  public:
   /// Fold one completed point, identified by its grid index, into its
@@ -338,7 +340,8 @@ class CellAggregator {
 
   /// Snapshot of every cell, ordered by first (grid-order) appearance —
   /// exactly rebuild_cell_aggregates' output over the same points.
-  [[nodiscard]] std::vector<CellAggregate> cells() const;
+  /// Replays the cells that out-of-order adds marked.
+  [[nodiscard]] std::vector<CellAggregate> cells();
 
  private:
   /// The per-point contribution, small enough to copy so replay never
@@ -354,7 +357,8 @@ class CellAggregator {
   };
   struct State {
     CellAggregate agg;
-    std::vector<Member> members;  ///< sorted by grid index
+    std::vector<Member> members;  ///< sorted by grid index unless dirty
+    bool dirty = false;  ///< an out-of-order add is not folded into agg yet
   };
 
   static void fold(CellAggregate& cell, const Member& m);
@@ -370,9 +374,8 @@ class CellAggregator {
 };
 
 /// Rebuild result.cells from result.points: first-appearance (grid) order,
-/// skips excluded — the one aggregation routine behind every report
-/// (implemented as an in-order CellAggregator pass, so the batch and
-/// incremental paths cannot drift).
+/// skips excluded. An in-order CellAggregator pass, so this batch form and
+/// the ledger's live cells cannot drift.
 void rebuild_cell_aggregates(SweepResult& result);
 
 }  // namespace bdg::run
