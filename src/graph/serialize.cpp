@@ -1,5 +1,6 @@
 #include "graph/serialize.h"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,13 +29,17 @@ Graph read_graph(std::istream& is) {
   std::size_t n = 0;
   if (!(is >> magic >> n) || magic != "bdg1")
     throw std::invalid_argument("read_graph: missing bdg1 header");
-  std::vector<std::vector<HalfEdge>> adj(n);
+  // The header is untrusted: grow one node per label read instead of
+  // sizing from n, so a huge n fails as a truncated list, not an
+  // allocation; the loop only ends with exactly n nodes read.
+  std::vector<std::vector<HalfEdge>> adj;
   for (std::size_t i = 0; i < n; ++i) {
     std::string label;
     if (!(is >> label))
       throw std::invalid_argument("read_graph: truncated node list");
     if (label != std::to_string(i) + ":")
       throw std::invalid_argument("read_graph: bad node label " + label);
+    adj.emplace_back();
     // Read pairs until the next label or EOF. Peek-based: consume tokens
     // while they parse as numbers in pairs on the remainder of the line.
     std::string line;
@@ -42,8 +47,10 @@ Graph read_graph(std::istream& is) {
     std::istringstream ls(line);
     std::uint64_t to = 0, rev = 0;
     while (ls >> to >> rev) {
-      if (to >= n)
+      if (to >= n || to > std::numeric_limits<NodeId>::max())
         throw std::invalid_argument("read_graph: edge target out of range");
+      if (rev > std::numeric_limits<Port>::max())
+        throw std::invalid_argument("read_graph: reverse port out of range");
       adj[i].push_back(
           HalfEdge{static_cast<NodeId>(to), static_cast<Port>(rev)});
     }

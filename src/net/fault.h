@@ -71,12 +71,17 @@ class FaultInjector {
 /// Channel decorator applying the injector's schedule to outbound frames.
 /// Inbound frames pass through untouched: dropping a direction's traffic is
 /// expressed by shimming that sender's side, which keeps every lost frame
-/// attributable to exactly one schedule.
+/// attributable to exactly one schedule. It keeps Channel's per-frame
+/// send_frames, so a batch draws the same schedule as a send_frame loop.
 class FaultyChannel : public Channel {
  public:
   FaultyChannel(std::unique_ptr<Channel> inner, const FaultConfig& cfg);
 
   bool send_frame(std::string_view payload) override;
+  /// Outbound frames the schedule has decided so far.
+  [[nodiscard]] std::uint64_t frames_seen() const {
+    return injector_.frames_seen();
+  }
   RecvStatus recv_frame(std::string& payload, int timeout_ms) override;
   void shutdown() override;
   [[nodiscard]] int fd() const override;

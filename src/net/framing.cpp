@@ -5,17 +5,21 @@
 namespace bdg::net {
 
 std::string encode_frame(std::string_view payload) {
+  std::string out;
+  out.reserve(4 + payload.size());
+  append_frame(out, payload);
+  return out;
+}
+
+void append_frame(std::string& out, std::string_view payload) {
   if (payload.size() > kMaxFrameBytes)
     throw std::runtime_error("encode_frame: payload exceeds kMaxFrameBytes");
   const std::uint32_t n = static_cast<std::uint32_t>(payload.size());
-  std::string out;
-  out.reserve(4 + payload.size());
   out.push_back(static_cast<char>((n >> 24) & 0xFF));
   out.push_back(static_cast<char>((n >> 16) & 0xFF));
   out.push_back(static_cast<char>((n >> 8) & 0xFF));
   out.push_back(static_cast<char>(n & 0xFF));
   out.append(payload.data(), payload.size());
-  return out;
 }
 
 void FrameReader::feed(const char* data, std::size_t len) {

@@ -27,6 +27,9 @@ constexpr std::size_t kMaxFrameBytes = 1u << 22;  // 4 MiB
 /// Wrap a payload in its 4-byte big-endian length prefix.
 [[nodiscard]] std::string encode_frame(std::string_view payload);
 
+/// Append encode_frame(payload) to `out` (one buffer for many frames).
+void append_frame(std::string& out, std::string_view payload);
+
 /// Incremental decoder: feed() raw socket bytes in any chunking, next()
 /// pops complete payloads in order.
 class FrameReader {

@@ -50,13 +50,18 @@ void Connection::shutdown() {
   }
 }
 
-bool Connection::send_frame(std::string_view payload) {
+bool Channel::send_frames(const std::vector<std::string_view>& payloads) {
+  for (const std::string_view payload : payloads)
+    if (!send_frame(payload)) return false;
+  return true;
+}
+
+bool Connection::send_all(std::string_view bytes) {
   if (fd_ < 0) return false;
-  const std::string frame = encode_frame(payload);
   std::size_t sent = 0;
-  while (sent < frame.size()) {
+  while (sent < bytes.size()) {
     // MSG_NOSIGNAL: a dead peer yields EPIPE, not a process-wide SIGPIPE.
-    const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
+    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
                              MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -65,6 +70,22 @@ bool Connection::send_frame(std::string_view payload) {
     sent += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+bool Connection::send_frame(std::string_view payload) {
+  return fd_ >= 0 && send_all(encode_frame(payload));
+}
+
+bool Connection::send_frames(const std::vector<std::string_view>& payloads) {
+  std::string buf;
+  for (const std::string_view payload : payloads) {
+    append_frame(buf, payload);
+    if (buf.size() >= kSendFlushBytes) {
+      if (!send_all(buf)) return false;
+      buf.clear();
+    }
+  }
+  return buf.empty() || send_all(buf);
 }
 
 RecvStatus Connection::drain() {

@@ -5,10 +5,14 @@
 // The coordinator multiplexes many connections with poll() (see
 // run/service.cpp); connections therefore expose their fd and a
 // non-blocking drain path in addition to the blocking-with-timeout
-// recv_frame. Sends are blocking: frames are small (one checkpoint record
-// or control message) and localhost socket buffers absorb them, so a
-// deliberately slow peer can at worst stall its own lease, which the
-// coordinator's deadline machinery already tolerates.
+// recv_frame. Sends are blocking. Worker traffic is one small frame at a
+// time (a checkpoint record or control message). A query reply is one
+// header plus a body frame per cell, sent as one batch: send_frames
+// encodes the frames into one buffer and writes it whenever it reaches
+// kSendFlushBytes, so a reply costs a few large writes instead of one
+// TCP segment per frame, and even a huge dump never builds one giant
+// string. A deliberately slow peer can at worst stall its own lease or
+// reply, which the coordinator's deadline machinery already tolerates.
 //
 // Channel is the abstract seam the fault-injection shim (net/fault.h) wraps
 // around: the service code talks to Channel only, so deterministic
@@ -18,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "net/framing.h"
 #include "util/rng.h"
@@ -31,6 +36,9 @@ enum class RecvStatus {
   kError,    ///< transport error (treated like kClosed by the service)
 };
 
+/// send_frames writes its buffered frames whenever they reach this size.
+constexpr std::size_t kSendFlushBytes = 64u << 10;  // 64 KiB
+
 /// A bidirectional framed byte channel. Implementations: Connection (real
 /// socket) and FaultyChannel (deterministic fault shim around another
 /// Channel).
@@ -39,6 +47,10 @@ class Channel {
   virtual ~Channel() = default;
   /// Send one framed payload. false on any transport failure.
   virtual bool send_frame(std::string_view payload) = 0;
+  /// Send `payloads` in order, stopping at the first failure; false on
+  /// any transport failure. The default is one send_frame per payload,
+  /// so a decorator (FaultyChannel) sees every frame on its own.
+  virtual bool send_frames(const std::vector<std::string_view>& payloads);
   /// Wait up to timeout_ms (0 = only what is already buffered/readable,
   /// <0 = block) for one complete frame.
   virtual RecvStatus recv_frame(std::string& payload, int timeout_ms) = 0;
@@ -58,11 +70,15 @@ class Connection : public Channel {
   Connection& operator=(const Connection&) = delete;
 
   bool send_frame(std::string_view payload) override;
+  /// Same bytes as the send_frame loop, written kSendFlushBytes at a time.
+  bool send_frames(const std::vector<std::string_view>& payloads) override;
   RecvStatus recv_frame(std::string& payload, int timeout_ms) override;
   void shutdown() override;
   [[nodiscard]] int fd() const override { return fd_; }
 
  private:
+  /// Write all of `bytes`; false on a closed or failed socket.
+  bool send_all(std::string_view bytes);
   /// Pull whatever is readable into the reassembly buffer.
   RecvStatus drain();
 

@@ -30,7 +30,7 @@ SweepLedger::SweepLedger(const SweepSpec& spec,
   seed_to_index_.reserve(grid_.size());
   for (std::size_t i = 0; i < grid_.size(); ++i) {
     seed_to_index_[point_seed(spec_.base_seed, grid_[i])] = i;
-    if (have_[i]) agg_.add(i, result_.points[i]);
+    if (have_[i]) aggregate(i);
   }
 
   if (!spec_.checkpoint_path.empty() && need_ != 0) {
@@ -114,12 +114,19 @@ bool SweepLedger::unleased_work() const {
   return !pending_.empty() && leases_.empty();
 }
 
+void SweepLedger::aggregate(std::size_t idx) {
+  const std::size_t slot = agg_.add(idx, result_.points[idx]);
+  if (slot == CellAggregator::kNoCell) return;
+  if (slot >= bodies_.size()) bodies_.resize(slot + 1);
+  bodies_[slot].clear();
+}
+
 void SweepLedger::merge_at(std::size_t idx, PointResult&& result) {
   result_.points[idx] = std::move(result);
   have_[idx] = 1;
   ++merged_;
   const PointResult& p = result_.points[idx];
-  agg_.add(idx, p);
+  aggregate(idx);
   if (owner_[idx] != 0) {
     const auto it = leases_.find(owner_[idx]);
     if (it != leases_.end()) {
@@ -203,17 +210,22 @@ QueryReply SweepLedger::answer(const QueryRequest& q) {
   r.done = complete();
   r.stats = stats_;
   if (q.what == "cells") {
-    for (const CellAggregate& c : agg_.cells()) {
-      if (q.algorithm && *q.algorithm != core::to_string(c.algorithm)) continue;
-      if (q.family && *q.family != c.family) continue;
-      if (q.mix && *q.mix != mix_to_string(c.mix)) continue;
-      if (q.n && *q.n != c.n) continue;
-      if (q.k && *q.k != (c.k == 0 ? c.n : c.k)) continue;
-      if (q.f && *q.f != c.f) continue;
-      std::ostringstream os;
-      write_cell_json(os, c);
-      r.bodies.push_back(os.str());
-    }
+    agg_.visit([&](std::size_t slot, const CellAggregate& c) {
+      if (q.algorithm && *q.algorithm != core::to_string(c.algorithm)) return;
+      if (q.family && *q.family != c.family) return;
+      if (q.mix && *q.mix != mix_to_string(c.mix)) return;
+      if (q.n && *q.n != c.n) return;
+      if (q.k && *q.k != (c.k == 0 ? c.n : c.k)) return;
+      if (q.f && *q.f != c.f) return;
+      std::string& body = bodies_[slot];
+      if (body.empty()) {
+        std::ostringstream os;
+        write_cell_json(os, c);
+        body = os.str();
+        ++rendered_;
+      }
+      r.bodies.push_back(body);
+    });
   } else if (q.what == "point") {
     std::size_t idx = grid_.size();
     if (q.index) {

@@ -9,6 +9,11 @@
 // socket loop, and its zero-worker fallback calls the same run_pending().
 // Lease calls take `now` instead of reading a clock, so tests drive the
 // lease protocol against an injected clock.
+//
+// Cell queries render each cell once: the ledger keeps every cell's
+// write_cell_json body and re-renders a cell only after a merge touched
+// it, so an unfiltered dump with no merge in between formats nothing and
+// costs only the copy of the cached bodies.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -133,6 +138,9 @@ class SweepLedger {
   [[nodiscard]] SweepResult finish();
   /// Answer a query from the live state (transport fields left unset).
   [[nodiscard]] QueryReply answer(const QueryRequest& q);
+  /// Cell bodies answer() has rendered so far; a cached body is reused
+  /// until a merge touches its cell.
+  [[nodiscard]] std::uint64_t cells_rendered() const { return rendered_; }
 
  private:
   struct Lease {
@@ -146,6 +154,8 @@ class SweepLedger {
   Leases::iterator lease_of(int holder);
   void requeue(Leases::iterator lease);
   void merge_at(std::size_t idx, PointResult&& result);  ///< caller holds mu_
+  /// Fold point `idx` into its cell and drop the cell's rendered body.
+  void aggregate(std::size_t idx);
 
   SweepSpec spec_;
   std::chrono::milliseconds lease_timeout_;
@@ -167,6 +177,10 @@ class SweepLedger {
   /// only report order.
   util::FlatMap<std::uint64_t, std::size_t> seed_to_index_;
   CellAggregator agg_;
+  /// Each cell's write_cell_json body, by CellAggregator slot; empty
+  /// until answer() renders it and again after a merge touches the cell.
+  std::vector<std::string> bodies_;
+  std::uint64_t rendered_ = 0;
   std::ofstream ck_;
   std::size_t need_ = 0;
   std::size_t merged_ = 0;

@@ -8,6 +8,7 @@
 #include <map>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "run/report.h"
@@ -197,11 +198,13 @@ SweepResult Coordinator::serve(const std::atomic<bool>* stop) {
         ++stats.clients_seen;
       }
       // One flat `result` header echoing the query id, then `count` body
-      // frames byte-identical to the report's per-cell/per-point objects.
+      // frames byte-identical to the report's per-cell/per-point objects,
+      // written as one batch.
       const QueryReply reply = ledger.answer(parse_query(payload));
-      if (!w.ch->send_frame(msg_result(id, reply))) return false;
-      for (const std::string& body : reply.bodies)
-        if (!w.ch->send_frame(body)) return false;
+      const std::string header = msg_result(id, reply);
+      std::vector<std::string_view> frames{header};
+      frames.insert(frames.end(), reply.bodies.begin(), reply.bodies.end());
+      if (!w.ch->send_frames(frames)) return false;
       ++stats.queries_answered;
       return true;
     }

@@ -518,8 +518,8 @@ void CellAggregator::replay(State& st) {
   for (const Member& m : st.members) fold(st.agg, m);
 }
 
-void CellAggregator::add(std::size_t grid_index, const PointResult& p) {
-  if (p.skipped) return;
+std::size_t CellAggregator::add(std::size_t grid_index, const PointResult& p) {
+  if (p.skipped) return kNoCell;
   // Cells are located through a hash of the cell coordinates, with an
   // exact-match walk inside each bucket (hash collisions must not merge
   // cells).
@@ -528,27 +528,32 @@ void CellAggregator::add(std::size_t grid_index, const PointResult& p) {
   const std::uint64_t key =
       mix(point_seed(0, coords), static_cast<std::uint64_t>(p.point.strategy));
   auto& bucket = index_[key];
-  State* st = nullptr;
+  std::size_t slot = kNoCell;
   for (const std::size_t idx : bucket) {
     const CellAggregate& c = states_[idx].agg;
     if (c.algorithm == p.point.algorithm && c.family == p.point.family &&
         c.n == p.point.n && c.k == p.point.k && c.f == p.point.f &&
         c.mix == p.point.mix) {
-      st = &states_[idx];
+      slot = idx;
       break;
     }
   }
-  if (st == nullptr) {
-    bucket.push_back(states_.size());
-    states_.emplace_back();
-    st = &states_.back();
-    st->agg.algorithm = p.point.algorithm;
-    st->agg.family = p.point.family;
-    st->agg.n = p.point.n;
-    st->agg.k = p.point.k;
-    st->agg.f = p.point.f;
-    st->agg.mix = p.point.mix;
+  if (slot == kNoCell) {
+    slot = states_.size();
+    bucket.push_back(slot);
+    if (!order_.empty() && states_[order_.back()].first > grid_index)
+      order_dirty_ = true;
+    order_.push_back(slot);
+    State& fresh = states_.emplace_back();
+    fresh.first = grid_index;
+    fresh.agg.algorithm = p.point.algorithm;
+    fresh.agg.family = p.point.family;
+    fresh.agg.n = p.point.n;
+    fresh.agg.k = p.point.k;
+    fresh.agg.f = p.point.f;
+    fresh.agg.mix = p.point.mix;
   }
+  State& st = states_[slot];
   Member m;
   m.index = grid_index;
   m.ok = p.ok;
@@ -557,28 +562,40 @@ void CellAggregator::add(std::size_t grid_index, const PointResult& p) {
   m.moves = p.stats.moves;
   m.messages = p.stats.messages;
   m.seconds = p.seconds;
-  const bool in_order = !st->dirty && (st->members.empty() ||
-                                       st->members.back().index < grid_index);
-  st->members.push_back(m);
-  if (in_order)
-    fold(st->agg, m);  // the O(1) incremental recurrence
-  else
-    st->dirty = true;  // replayed once, by the next cells()
+  const bool in_order = !st.dirty && (st.members.empty() ||
+                                      st.members.back().index < grid_index);
+  st.members.push_back(m);
+  if (in_order) {
+    fold(st.agg, m);  // the O(1) incremental recurrence
+  } else {
+    st.dirty = true;  // replayed once, by the next visit()
+    if (grid_index < st.first) {
+      st.first = grid_index;
+      order_dirty_ = true;
+    }
+  }
+  return slot;
+}
+
+void CellAggregator::visit(
+    const std::function<void(std::size_t slot, const CellAggregate&)>& f) {
+  if (order_dirty_) {
+    std::sort(order_.begin(), order_.end(), [this](std::size_t a, std::size_t b) {
+      return states_[a].first < states_[b].first;
+    });
+    order_dirty_ = false;
+  }
+  for (const std::size_t slot : order_) {
+    State& st = states_[slot];
+    if (st.dirty) replay(st);
+    f(slot, st.agg);
+  }
 }
 
 std::vector<CellAggregate> CellAggregator::cells() {
-  for (State& st : states_)
-    if (st.dirty) replay(st);
-  // First-appearance (grid) order = ascending first member index. Members
-  // are sorted, so members.front() is each cell's first grid appearance.
-  std::vector<std::size_t> order(states_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    return states_[a].members.front().index < states_[b].members.front().index;
-  });
   std::vector<CellAggregate> out;
   out.reserve(states_.size());
-  for (const std::size_t i : order) out.push_back(states_[i].agg);
+  visit([&out](std::size_t, const CellAggregate& c) { out.push_back(c); });
   return out;
 }
 

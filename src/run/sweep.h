@@ -319,28 +319,37 @@ struct RestoredCheckpoint {
 /// extracted so SweepLedger folds every merged point into live aggregate
 /// state instead of rebuilding a full report per query.
 ///
-/// Bit-identity contract: cells() is bit-identical (including the
-/// order-sensitive floating-point running means) to rebuild_cell_aggregates
-/// over the same set of points, REGARDLESS of the order add() saw them in.
-/// An in-order add folds in O(1) (the recurrence is incremental); an
-/// out-of-order add only marks its cell, and the next cells() call sorts
-/// that cell's members by grid index and replays them once. So arrival
-/// order — parallel execution, lease reassignment, duplicate racing,
-/// resume — can never leak into the aggregates, and a burst of
+/// Bit-identity contract: visit() and cells() are bit-identical
+/// (including the order-sensitive floating-point running means) to
+/// rebuild_cell_aggregates over the same set of points, REGARDLESS of the
+/// order add() saw them in. An in-order add folds in O(1) (the recurrence
+/// is incremental); an out-of-order add only marks its cell, and the next
+/// visit() sorts that cell's members by grid index and replays them once.
+/// So arrival order — parallel execution, lease reassignment, duplicate
+/// racing, resume — can never leak into the aggregates, and a burst of
 /// out-of-order adds costs one replay, not one per add.
 class CellAggregator {
  public:
+  /// add()'s answer for a skipped point, which joins no cell.
+  static constexpr std::size_t kNoCell = static_cast<std::size_t>(-1);
+
   /// Fold one completed point, identified by its grid index, into its
-  /// cell. Skipped points are ignored (they never aggregate). Call at most
-  /// once per grid index.
-  void add(std::size_t grid_index, const PointResult& p);
+  /// cell, and return the cell's slot: a stable id, the one visit()
+  /// reports, so a caller can cache per-cell work and redo it only for
+  /// the cells that adds touched. Skipped points are ignored (kNoCell).
+  /// Call at most once per grid index.
+  std::size_t add(std::size_t grid_index, const PointResult& p);
 
   /// Distinct cells seen so far.
   [[nodiscard]] std::size_t cell_count() const { return states_.size(); }
 
-  /// Snapshot of every cell, ordered by first (grid-order) appearance —
-  /// exactly rebuild_cell_aggregates' output over the same points.
-  /// Replays the cells that out-of-order adds marked.
+  /// Call f(slot, cell) for every cell, ordered by first (grid-order)
+  /// appearance — exactly rebuild_cell_aggregates' order over the same
+  /// points. Replays the cells that out-of-order adds marked first.
+  void visit(
+      const std::function<void(std::size_t slot, const CellAggregate&)>& f);
+
+  /// Snapshot of every cell in visit() order.
   [[nodiscard]] std::vector<CellAggregate> cells();
 
  private:
@@ -358,6 +367,7 @@ class CellAggregator {
   struct State {
     CellAggregate agg;
     std::vector<Member> members;  ///< sorted by grid index unless dirty
+    std::size_t first = 0;  ///< lowest member grid index
     bool dirty = false;  ///< an out-of-order add is not folded into agg yet
   };
 
@@ -365,6 +375,10 @@ class CellAggregator {
   void replay(State& st);
 
   std::vector<State> states_;
+  /// Slots by first appearance. Only a new cell or an add below a cell's
+  /// first index can reorder it, so visit() re-sorts only then.
+  std::vector<std::size_t> order_;
+  bool order_dirty_ = false;
   /// Coordinate-hash buckets (collisions resolved by exact match) so
   /// million-point sweeps aggregate in O(points). Lookup-only — cell
   /// ordering comes from states_ (first-appearance grid order), never from

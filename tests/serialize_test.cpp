@@ -53,6 +53,24 @@ TEST(Serialize, RejectsWrongNodeLabel) {
                std::invalid_argument);
 }
 
+TEST(Serialize, RejectsHugeNodeCountWithoutAllocatingIt) {
+  // The header alone must not size anything: this is a truncated node
+  // list, not a multi-exabyte allocation.
+  EXPECT_THROW((void)graph_from_string("bdg1 4000000000000000000\n"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)graph_from_string("bdg1 4000000000000000000\n0: 1 0\n1: 0 0\n"),
+      std::invalid_argument);
+}
+
+TEST(Serialize, RejectsReversePortPastPortRange) {
+  // 4294967296 would narrow to port 0 and pass the involution check.
+  EXPECT_THROW(
+      (void)graph_from_string("bdg1 2\n0: 1 4294967296\n1: 0 0\n"),
+      std::invalid_argument);
+  EXPECT_NO_THROW((void)graph_from_string("bdg1 2\n0: 1 0\n1: 0 0\n"));
+}
+
 TEST(Serialize, PreservesPortOrder) {
   Rng rng(4);
   const Graph g = shuffle_ports(make_grid(3, 3), rng);

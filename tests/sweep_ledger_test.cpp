@@ -9,12 +9,15 @@
 //    duplicate / lease_done / drop / expire / in-process fallback merge
 //    every grid index exactly once, answer live cell queries exactly as a
 //    batch rebuild over the landed points would, and finish() is
-//    byte-identical to run_sweep on the same spec.
+//    byte-identical to run_sweep on the same spec;
+//  * cell queries render each cell once: a repeated dump renders nothing
+//    and a merge re-renders exactly its own cell.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -314,6 +317,91 @@ void random_interleaving(std::uint64_t seed, bool checkpoint) {
   EXPECT_EQ(result.from_checkpoint, restored.size());
   EXPECT_EQ(all_reports(result), all_reports(expected));
   if (checkpoint) std::remove(spec.checkpoint_path.c_str());
+}
+
+/// write_cell_json over rebuild_cell_aggregates of the landed points,
+/// keeping the cells `keep` accepts: the oracle for a cells query.
+std::vector<std::string> rebuilt_bodies(
+    SweepResult partial, const std::vector<bool>& landed,
+    const std::function<bool(const CellAggregate&)>& keep) {
+  for (std::size_t i = 0; i < partial.points.size(); ++i)
+    if (!landed[i]) partial.points[i].skipped = true;
+  rebuild_cell_aggregates(partial);
+  std::vector<std::string> out;
+  for (const CellAggregate& c : partial.cells) {
+    if (!keep(c)) continue;
+    std::ostringstream os;
+    write_cell_json(os, c);
+    out.push_back(os.str());
+  }
+  return out;
+}
+
+TEST(SweepLedger, CellQueriesRenderEachCellOncePerMerge) {
+  // Four cells of three seeds each.
+  SweepSpec spec = small_spec();
+  spec.families = {"er", "ring"};
+  spec.sizes = {6, 7};
+  spec.seeds = {1, 2, 3};
+  const SweepResult full = run_sweep(spec);
+  const std::size_t total = full.points.size();
+  ASSERT_EQ(total, 12u);
+  ASSERT_EQ(full.cells.size(), 4u);
+
+  QueryRequest all;
+  all.what = "cells";
+  QueryRequest ring = all;
+  ring.family = "ring";
+  QueryRequest n6 = all;
+  n6.algorithm = core::to_string(spec.algorithms[0]);
+  n6.n = 6;
+  const std::function<bool(const CellAggregate&)> keep_all =
+      [](const CellAggregate&) { return true; };
+  const std::function<bool(const CellAggregate&)> keep_ring =
+      [](const CellAggregate& c) { return c.family == "ring"; };
+  const std::function<bool(const CellAggregate&)> keep_n6 =
+      [](const CellAggregate& c) { return c.n == 6; };
+
+  SweepLedger ledger(spec, kTimeout);
+  EXPECT_TRUE(ledger.answer(all).bodies.empty());
+  EXPECT_EQ(ledger.cells_rendered(), 0u);
+
+  // Reverse grid order: every merge after a cell's first lands below the
+  // members it already has, so it goes through the replay path into a
+  // cell an earlier query rendered.
+  std::vector<bool> landed(total, false);
+  for (std::size_t step = 0; step < total; ++step) {
+    const std::size_t idx = total - 1 - step;
+    SCOPED_TRACE("merged grid index " + std::to_string(idx));
+    PointResult r = full.points[idx];
+    ledger.merge(1, std::move(r), at(0));
+    landed[idx] = true;
+
+    const std::uint64_t before = ledger.cells_rendered();
+    EXPECT_EQ(ledger.answer(all).bodies,
+              rebuilt_bodies(full, landed, keep_all));
+    EXPECT_EQ(ledger.cells_rendered(), before + 1) << "only the merged cell";
+    EXPECT_EQ(ledger.answer(all).bodies,
+              rebuilt_bodies(full, landed, keep_all));
+    EXPECT_EQ(ledger.answer(ring).bodies,
+              rebuilt_bodies(full, landed, keep_ring));
+    EXPECT_EQ(ledger.answer(n6).bodies, rebuilt_bodies(full, landed, keep_n6));
+    EXPECT_EQ(ledger.cells_rendered(), before + 1) << "nothing changed since";
+  }
+  EXPECT_EQ(ledger.answer(all).bodies.size(), full.cells.size());
+
+  // A filtered query renders only the cells it matches.
+  SweepLedger filtered(spec, kTimeout);
+  for (std::size_t i = 0; i < total; ++i) {
+    PointResult r = full.points[i];
+    filtered.merge(1, std::move(r), at(0));
+  }
+  EXPECT_EQ(filtered.answer(ring).bodies,
+            rebuilt_bodies(full, landed, keep_ring));
+  EXPECT_EQ(filtered.cells_rendered(), 2u);
+  EXPECT_EQ(filtered.answer(all).bodies,
+            rebuilt_bodies(full, landed, keep_all));
+  EXPECT_EQ(filtered.cells_rendered(), 4u);
 }
 
 TEST(SweepLedger, RandomInterleavingsMergeEachPointOnceAndMatchRunSweep) {
