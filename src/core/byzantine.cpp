@@ -86,13 +86,6 @@ void fill_payload(const std::vector<CompiledStrategy::PayloadElem>& elems,
   }
 }
 
-/// Replay-side twin of fill_payload: consume the draws, skip the bytes.
-void consume_payload_draws(
-    const std::vector<CompiledStrategy::PayloadElem>& elems, Rng& rng) {
-  for (const auto& e : elems)
-    if (e.draw_below4) (void)rng.below(4);
-}
-
 std::optional<Port> draw_move(CompiledStrategy::MoveRule rule, Ctx& ctx,
                               Rng& rng) {
   switch (rule) {
@@ -109,17 +102,19 @@ std::optional<Port> draw_move(CompiledStrategy::MoveRule rule, Ctx& ctx,
   return std::nullopt;
 }
 
-/// The one interpreter behind every Byzantine strategy. Live rounds and
-/// replayed (fast-forwarded) rounds walk the SAME op list, so the RNG
-/// draw order, message contents/order, move timing and charged-window
-/// sleeps of a replayed round are bit-identical to a live one by
-/// construction. Between rounds the robot parks via end_round_ambient
-/// instead of holding the engine awake; with an observer attached the
-/// engine keeps it live every round, so it never replays at all.
+/// The one interpreter behind every Byzantine strategy. Live rounds walk
+/// the op list; a fast-forwarded stretch replays each round from the
+/// phase's digest (same draws, message count and move), so replay
+/// matches the live walk in RNG order, message totals, move timing and
+/// charged-window sleeps. Between rounds the robot parks via
+/// end_round_ambient instead of holding the engine awake; with an
+/// observer attached the engine keeps it live every round, so it never
+/// replays at all. The empty program (kCrash) finishes at round 0.
 Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
                   std::vector<sim::RobotId> peers, Rng rng) {
   using LenRule = CompiledStrategy::LenRule;
   using OpKind = CompiledStrategy::OpKind;
+  if (cs.phases.empty()) co_return;
   ChargeGate gate{std::move(sched)};
   if (gate.sched.wake != 0) co_await ctx.sleep_rounds(gate.sched.wake);
 
@@ -141,15 +136,14 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
   // the live path draws below(4) exactly where fill_payload would.
   std::vector<std::vector<util::SmallVec<util::PayloadRef, 4>>>
       shared_payloads(cs.phases.size());
-  // Replay digest per phase: a phase with no kDrawVictim op replays each
-  // round as `draw4` below(4) draws + one move draw + one ambient step
-  // (spoofs never fire without a victim), so the per-round op walk can
-  // collapse to a tight loop. Draw order is preserved exactly — payload
-  // draws are all below(4) and happen in op order either way.
+  // Replay digest per phase: the RNG bounds one live round draws, in op
+  // order — below(|peers|) for each victim draw and below(4) for each
+  // payload draw of an op that sends — and the number of messages it
+  // sends. Peers never change, so which spoofs fire (those after a victim
+  // draw) is fixed per phase.
   struct ReplayDigest {
-    bool simple = false;
-    std::uint32_t draw4 = 0;
-    std::uint64_t emitted = 0;
+    std::vector<std::uint64_t> bounds;
+    std::uint64_t messages = 0;
   };
   std::vector<ReplayDigest> replay_digest(cs.phases.size());
   {
@@ -158,18 +152,21 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
       const auto& ops = cs.phases[pi].ops;
       shared_payloads[pi].resize(ops.size());
       ReplayDigest& rd = replay_digest[pi];
-      rd.simple = true;
+      bool have_victim = false;
       for (std::size_t oi = 0; oi < ops.size(); ++oi) {
         const CompiledStrategy::Op& op = ops[oi];
-        if (op.kind == OpKind::kDrawVictim) rd.simple = false;
+        if (op.kind == OpKind::kDrawVictim && !peers.empty()) {
+          rd.bounds.push_back(peers.size());
+          have_victim = true;
+        }
         if (op.kind != OpKind::kBroadcast && op.kind != OpKind::kSpoofBroadcast)
           continue;
         const std::size_t draws = static_cast<std::size_t>(
             std::count_if(op.payload.begin(), op.payload.end(),
                           [](const auto& e) { return e.draw_below4; }));
-        if (op.kind == OpKind::kBroadcast) {
-          rd.draw4 += static_cast<std::uint32_t>(draws);
-          ++rd.emitted;
+        if (op.kind == OpKind::kBroadcast || have_victim) {
+          rd.bounds.insert(rd.bounds.end(), draws, 4);
+          ++rd.messages;
         }
         if (draws > 1) continue;
         for (std::int64_t v = 0; v < (draws == 0 ? 1 : 4); ++v) {
@@ -185,7 +182,7 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
 
   std::size_t phase = 0;
   std::uint64_t left = 0;  // rounds left in the phase (kForever: unused)
-  bool finished = cs.phases.empty();
+  bool finished = false;
 
   // Enter phases from `phase` on until one grants a nonzero budget.
   // kDrawEachEntry draws here — the same point in the RNG sequence live
@@ -236,79 +233,30 @@ Proc run_compiled(Ctx ctx, CompiledStrategy cs, ByzSchedule sched,
         now += d < horizon ? d : horizon;
         continue;
       }
+      // Replay the stretch up to the gap's end, the next charged window or
+      // the phase budget, whichever comes first: each round redraws the
+      // digest's bounds and the move. A phase that draws nothing and stays
+      // is one range effect, chunked so the message product stays in 64
+      // bits while the resume budget still bounds pathological gaps.
       const CompiledStrategy::Phase& p = cs.phases[phase];
-      if (p.bulk_ok) {
-        // Draw-free stationary phase: the stretch is ONE range effect —
-        // bounded by the phase budget and the next charged window, and
-        // chunked so the message product stays in 64 bits while the
-        // resume budget still bounds pathological gaps.
-        Round span = ctx.round() - now;
-        if (const Round c = gate.until_next(now); c < span) span = c;
-        if (p.len != LenRule::kForever && Round(left) < span)
-          span = Round(left);
-        const std::uint64_t steps =
-            span.fits_u64() ? span.low_u64()
-                            : std::numeric_limits<std::uint64_t>::max();
-        const std::uint64_t chunk = std::min<std::uint64_t>(steps, 1ULL << 32);
-        ctx.ambient_round(std::nullopt, chunk * p.messages_per_round);
-        now += Round(chunk);
-        if (p.len != LenRule::kForever && (left -= chunk) == 0)
-          enter_phase(/*advance=*/true);
-        continue;
-      }
-      if (const ReplayDigest& rd = replay_digest[phase]; rd.simple) {
-        // Victim-free phase: replay a whole uncharged stretch in one tight
-        // loop (same draws and ambient steps as the op walk, minus the
-        // per-round dispatch and gate checks). Bounded like the bulk path:
-        // by the gap, the next charged window and the phase budget.
-        Round span = ctx.round() - now;
-        if (const Round c = gate.until_next(now); c < span) span = c;
-        if (p.len != LenRule::kForever && Round(left) < span)
-          span = Round(left);
-        const std::uint64_t steps =
-            span.fits_u64() ? span.low_u64()
-                            : std::numeric_limits<std::uint64_t>::max();
-        if (steps != 0) {
-          for (std::uint64_t s = 0; s < steps; ++s) {
-            for (std::uint32_t k = 0; k < rd.draw4; ++k) (void)rng.below(4);
-            ctx.ambient_round(draw_move(p.move, ctx, rng), rd.emitted);
-          }
-          now += Round(steps);
-          if (p.len != LenRule::kForever && (left -= steps) == 0)
-            enter_phase(/*advance=*/true);
-          continue;
+      const ReplayDigest& rd = replay_digest[phase];
+      Round span = ctx.round() - now;
+      if (const Round c = gate.until_next(now); c < span) span = c;
+      if (p.len != LenRule::kForever && Round(left) < span) span = Round(left);
+      std::uint64_t steps = span.fits_u64()
+                                ? span.low_u64()
+                                : std::numeric_limits<std::uint64_t>::max();
+      if (rd.bounds.empty() && p.move == CompiledStrategy::MoveRule::kStay) {
+        steps = std::min<std::uint64_t>(steps, 1ULL << 32);
+        ctx.ambient_round(std::nullopt, steps * rd.messages);
+      } else {
+        for (std::uint64_t r = 0; r < steps; ++r) {
+          for (const std::uint64_t bound : rd.bounds) (void)rng.below(bound);
+          ctx.ambient_round(draw_move(p.move, ctx, rng), rd.messages);
         }
       }
-      // Per-round replay: the live op walk with broadcasts suppressed
-      // (but counted) and the move applied immediately, so the next
-      // round's degree/draws see the post-move position.
-      std::uint64_t emitted = 0;
-      bool have_victim = false;
-      for (const CompiledStrategy::Op& op : p.ops) {
-        switch (op.kind) {
-          case OpKind::kDrawVictim:
-            if (!peers.empty()) {
-              (void)rng.below(peers.size());
-              have_victim = true;
-            }
-            break;
-          case OpKind::kBroadcast:
-            consume_payload_draws(op.payload, rng);
-            ++emitted;
-            break;
-          case OpKind::kSpoofBroadcast:
-            if (have_victim) {
-              consume_payload_draws(op.payload, rng);
-              ++emitted;
-            }
-            break;
-          case OpKind::kNextSubround:
-            break;
-        }
-      }
-      ctx.ambient_round(draw_move(p.move, ctx, rng), emitted);
-      now += 1;
-      if (p.len != LenRule::kForever && --left == 0)
+      now += Round(steps);
+      if (p.len != LenRule::kForever && (left -= steps) == 0)
         enter_phase(/*advance=*/true);
       continue;
     }
@@ -415,7 +363,7 @@ const std::vector<ByzStrategy>& weak_strategies() {
   return kAll;
 }
 
-std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
+CompiledStrategy compile_strategy(ByzStrategy s) {
   using CS = CompiledStrategy;
   const auto lit = [](std::int64_t v) { return CS::PayloadElem{v, false}; };
   const CS::PayloadElem draw4{0, true};
@@ -429,32 +377,10 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
   };
   const CS::Op victim{CS::OpKind::kDrawVictim, 0, {}};
   const CS::Op subround{CS::OpKind::kNextSubround, 0, {}};
-  // Derive each phase's replay shape: a phase is bulk-replayable (one
-  // range effect for the whole stretch) iff no op or move consumes a
-  // draw; spoof phases always draw victims, so they never qualify and
-  // their peers-dependent message count stays with the per-round walk.
-  const auto finalize = [](CS cs) {
-    for (auto& p : cs.phases) {
-      bool draws = p.move != CS::MoveRule::kStay;
-      std::uint64_t msgs = 0;
-      for (const auto& op : p.ops) {
-        if (op.kind == CS::OpKind::kBroadcast ||
-            op.kind == CS::OpKind::kSpoofBroadcast)
-          ++msgs;
-        if (op.kind == CS::OpKind::kDrawVictim) draws = true;
-        for (const auto& e : op.payload)
-          if (e.draw_below4) draws = true;
-      }
-      p.messages_per_round = msgs;
-      p.bulk_ok = !draws;
-    }
-    return cs;
-  };
-
   CS cs;
   switch (s) {
     case ByzStrategy::kCrash:
-      return std::nullopt;  // finishes at round 0; nothing to compile
+      return cs;  // the empty program: finishes at round 0
     case ByzStrategy::kRandomWalker:
       cs.phases.push_back({CS::LenRule::kForever,
                            0,
@@ -462,7 +388,7 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
                            false,
                            {bcast(kMsgStatus, {lit(kStateToBeSettled)})},
                            CS::MoveRule::kRandomPort});
-      return finalize(std::move(cs));
+      return cs;
     case ByzStrategy::kSquatter:
       cs.phases.push_back({CS::LenRule::kForever,
                            0,
@@ -470,7 +396,7 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
                            false,
                            {bcast(kMsgStatus, {lit(kStateSettled)})},
                            CS::MoveRule::kStay});
-      return finalize(std::move(cs));
+      return cs;
     case ByzStrategy::kFakeSettler:
       // squat_len = 2 + below(2n) drawn once; hops = 1 + below(3) drawn
       // at each entry of the relocation phase.
@@ -486,7 +412,7 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
                            false,
                            {},
                            CS::MoveRule::kRandomPort});
-      return finalize(std::move(cs));
+      return cs;
     case ByzStrategy::kSilentSettler:
       cs.phases.push_back({CS::LenRule::kFixed,
                            3,
@@ -495,7 +421,7 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
                            {bcast(kMsgStatus, {lit(kStateSettled)})},
                            CS::MoveRule::kStay});
       cs.loop = false;  // then vanish from the airwaves for good
-      return finalize(std::move(cs));
+      return cs;
     case ByzStrategy::kIntentSpammer:
       cs.phases.push_back({CS::LenRule::kForever,
                            0,
@@ -504,7 +430,7 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
                            {bcast(kMsgStatus, {lit(kStateToBeSettled)}),
                             bcast(kMsgIntent), bcast(kMsgSettled)},
                            CS::MoveRule::kRandomPort});
-      return finalize(std::move(cs));
+      return cs;
     case ByzStrategy::kMapLiar:
       cs.phases.push_back(
           {CS::LenRule::kForever,
@@ -518,7 +444,7 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
             bcast(explore::kMsgMapCode, {lit(1), lit(0)}), subround,
             bcast(explore::kMsgTokenHere)},
            CS::MoveRule::kChancePort});
-      return finalize(std::move(cs));
+      return cs;
     case ByzStrategy::kSpoofer: {
       CS::Phase p;
       p.len = CS::LenRule::kForever;
@@ -540,7 +466,7 @@ std::optional<CompiledStrategy> compile_strategy(ByzStrategy s) {
       }
       cs.phases.push_back(std::move(p));
       cs.spoofing = true;
-      return finalize(std::move(cs));
+      return cs;
     }
   }
   throw std::invalid_argument("compile_strategy: bad strategy");
@@ -551,9 +477,7 @@ sim::ProgramFactory make_byzantine_program(ByzStrategy strategy,
                                            std::uint64_t seed,
                                            ByzSchedule schedule) {
   validate_schedule(schedule);
-  std::optional<CompiledStrategy> cs = compile_strategy(strategy);
-  if (!cs.has_value()) return [](Ctx) -> Proc { co_return; };  // kCrash
-  return [cs = std::move(*cs), schedule = std::move(schedule),
+  return [cs = compile_strategy(strategy), schedule = std::move(schedule),
           peers = std::move(peer_ids), seed](Ctx c) {
     // Validate at program start, before any sleep: the factory body runs
     // synchronously when the engine starts the program, so a weak robot

@@ -65,7 +65,7 @@ struct ByzSchedule {
 /// sleep from `now` to clear the window containing it (0 = outside every
 /// window). Windows are sorted, so the cursor only ever advances —
 /// checking costs O(1) per awake round. The strategy interpreter also uses
-/// until_next to bound bulk range effects.
+/// until_next to bound replayed stretches.
 struct ChargeGate {
   ByzSchedule sched;
   std::size_t next = 0;
@@ -81,19 +81,22 @@ struct ChargeGate {
 // Compiled strategies (range-effect IR)
 // ---------------------------------------------------------------------------
 //
-// Every strategy above a crash is a tiny loop: emit a fixed op list each
-// round, draw a move, occasionally switch phase. CompiledStrategy captures
-// that loop as data — phases of round-ranges with per-round ops — so ONE
-// interpreter coroutine (behind make_byzantine_program) can either act
-// live in a simulated round or *replay* a fast-forwarded round by
-// executing the same ops with broadcasts suppressed (but counted) and
-// moves applied immediately. The interpreter parks via
-// Ctx::end_round_ambient between rounds, so an always-broadcasting
-// adversary does not block the engine's O(1) fast-forward over honest
-// sleep windows; per-round semantics (message contents and order, RNG
-// draw order, move timing) are preserved bit-identically because live and
-// replay paths share the op walk. An engine with an observer attached
-// never parks the robot, so traced runs execute every round live.
+// Every strategy is a tiny loop: emit a fixed op list each round, draw a
+// move, occasionally switch phase. CompiledStrategy captures that loop as
+// plain data — phases of round-ranges with per-round ops — and ONE
+// interpreter coroutine (behind make_byzantine_program) runs any such
+// program; kCrash is the program with no phases. Live rounds walk the op
+// list. Between rounds the interpreter parks via Ctx::end_round_ambient,
+// so an always-broadcasting adversary does not block the engine's O(1)
+// fast-forward over honest sleep windows. A fast-forwarded stretch is
+// replayed from a per-phase digest built at program start: the RNG bounds
+// one round draws, in op order (one per victim draw and one per payload
+// draw of every op that sends), and the messages it sends. Each replayed
+// round redraws those bounds and the move; a phase that draws nothing and
+// stays replays as one range effect. The recorded goldens in tests/byzantine_test.cpp
+// and the observed-vs-unobserved differentials (an engine with an
+// observer attached never parks the robot, so it runs every round live)
+// pin replay to the live op walk.
 struct CompiledStrategy {
   /// Payload element: a literal, or one rng.below(4) draw at emission
   /// time (draw order = element order within the op list).
@@ -132,21 +135,15 @@ struct CompiledStrategy {
     bool n_scaled = false;    ///< multiply bound by ctx.n() (fake settler)
     std::vector<Op> ops;      ///< per-round ops in emission order
     MoveRule move = MoveRule::kStay;
-    // Derived by compile_strategy():
-    /// Draw-free and stationary: a fast-forwarded stretch inside this
-    /// phase replays as one range effect (message count += rounds x
-    /// messages_per_round) instead of round by round.
-    bool bulk_ok = false;
-    std::uint64_t messages_per_round = 0;
   };
   std::vector<Phase> phases;
   bool loop = true;      ///< cycle phases forever; false = run once, finish
   bool spoofing = false; ///< requires a strong robot (kSpoofer)
 };
 
-/// Range-effect form of `s`; nullopt for kCrash (nothing to compile — the
-/// crash program finishes immediately and never wakes the engine).
-[[nodiscard]] std::optional<CompiledStrategy> compile_strategy(ByzStrategy s);
+/// Compiled form of `s`. kCrash compiles to the program with no phases,
+/// which finishes at round 0 and never wakes the engine.
+[[nodiscard]] CompiledStrategy compile_strategy(ByzStrategy s);
 
 /// Build the engine program for a Byzantine robot: the strategy's
 /// compiled form run by the one interpreter (kCrash finishes at round 0).

@@ -78,22 +78,26 @@ std::uint32_t max_tolerated_f_k(Algorithm a, std::uint32_t n,
                                 std::uint32_t k) {
   if (k == 0) k = n;
   if (k == 0 || n == 0) return 0;  // no graph / no robots: nothing tolerated
-  const std::uint32_t waves = (k + n - 1) / n;
+  // 64-bit intermediates: k + n - 1 and waves * n wrap in 32 bits once
+  // n or k passes 2^31.
+  const std::uint64_t n64 = n;
+  const std::uint64_t waves = (std::uint64_t{k} + n64 - 1) / n64;
   // Per-wave tolerance of the smallest wave; striping puts at most
   // ceil(f / waves) Byzantine robots in any wave.
-  const std::uint32_t per_wave = max_tolerated_f(a, k / waves);
-  std::uint32_t f = waves * per_wave;
+  const std::uint32_t per_wave =
+      max_tolerated_f(a, static_cast<std::uint32_t>(k / waves));
+  std::uint64_t f = waves * per_wave;
   // Theorem 8 feasibility: ceil((k - f)/n) must stay equal to ceil(k/n),
   // i.e. f < k - (waves - 1) * n.
-  const std::uint32_t residue = k - (waves - 1) * n;
-  f = std::min(f, residue >= 1 ? residue - 1 : 0);
+  const std::uint64_t residue = k - (waves - 1) * n64;
+  f = std::min<std::uint64_t>(f, residue >= 1 ? residue - 1 : 0);
   // Wave capacity: a node-denying adversary (squatter) costs every wave a
   // settlement slot, so W waves place at most W * (n - f) honest robots;
   // W * (n - f) >= k - f gives f <= (W*n - k) / (W - 1). Full waves
   // (k = W * n) therefore tolerate no faults — the price of meeting the
   // exact ceil((k - f)/n) cap with per-wave 1-per-node instances.
-  if (waves > 1) f = std::min(f, (waves * n - k) / (waves - 1));
-  return std::min(f, k - 1);
+  if (waves > 1) f = std::min(f, (waves * n64 - k) / (waves - 1));
+  return static_cast<std::uint32_t>(std::min<std::uint64_t>(f, k - 1));
 }
 
 bool starts_gathered(Algorithm a) {

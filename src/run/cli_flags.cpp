@@ -13,6 +13,12 @@
 namespace bdg::run {
 namespace {
 
+/// Largest node count (--sizes) or robot count (--k) any sweep front-end
+/// accepts. It admits every committed baseline and bench size and a
+/// 100,000-node ring; a larger value exits 2 at parse time, before any
+/// graph or robot is allocated.
+constexpr std::uint64_t kMaxNodesOrRobots = 1000000;
+
 std::vector<std::string> split(const std::string& s, char sep) {
   std::vector<std::string> out;
   std::stringstream ss(s);
@@ -139,10 +145,12 @@ GridFlagsResult parse_grid_flags(int argc, char** argv, SweepSpec& spec) {
       } else if (auto v = value_of(arg, "--sizes")) {
         spec.sizes.clear();
         for (const std::string& n : split(*v, ','))
-          spec.sizes.push_back(parse_unsigned<std::uint32_t>(n, "--sizes"));
+          spec.sizes.push_back(static_cast<std::uint32_t>(
+              parse_unsigned(n, "--sizes", kMaxNodesOrRobots)));
       } else if (auto v = value_of(arg, "--k")) {
         for (const std::string& k : split(*v, ','))
-          spec.robot_counts.push_back(parse_unsigned<std::uint32_t>(k, "--k"));
+          spec.robot_counts.push_back(static_cast<std::uint32_t>(
+              parse_unsigned(k, "--k", kMaxNodesOrRobots)));
       } else if (auto v = value_of(arg, "--byz")) {
         for (const std::string& f : split(*v, ','))
           spec.byzantine_counts.push_back(

@@ -339,6 +339,24 @@ TEST(CompiledStrategy, MatchesCoroutineWithChargedWindows) {
   expect_matches_golden(goldens, 7, 12, sched);
 }
 
+TEST(CompiledStrategy, RangeEffectReplaysAGapPastTwoToThe32Rounds) {
+  // The listener sleeps 2^40 rounds, so the parked squatter replays a gap
+  // far past one 2^32-round range-effect chunk. The model is exact: one
+  // settled beacon per round and no move. Each chunk costs one resume, so
+  // the fast-forward takes about gap / 2^32 resumes.
+  constexpr std::uint64_t kGap = std::uint64_t{1} << 40;
+  const Heard h =
+      observe_program(ByzStrategy::kSquatter, false, kGap, 1, ByzSchedule{0});
+  EXPECT_EQ(h.stats.messages, h.stats.rounds.low_u64());
+  EXPECT_GT(h.stats.rounds, Round(kGap));
+  EXPECT_EQ(h.stats.moves, 0u);
+  EXPECT_EQ(h.byz_end, 0u);
+  EXPECT_EQ(count_kind(h, kMsgStatus), 1u);
+  EXPECT_LE(h.stats.simulated_rounds, 8u);
+  EXPECT_GE(h.stats.resumes, kGap >> 32);
+  EXPECT_LE(h.stats.resumes, (kGap >> 32) + 16);
+}
+
 TEST(Byzantine, StrategyNamesAreUniqueAndComplete) {
   std::set<std::string> names;
   for (const auto s : weak_strategies()) names.insert(to_string(s));

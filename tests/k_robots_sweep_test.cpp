@@ -215,5 +215,24 @@ TEST(KRobotsSweep, GeneralizedToleranceBounds) {
   }
 }
 
+// Past n = 2^31, ceil(k / n) used to wrap in 32 bits to 0 waves and the
+// next division raised SIGFPE. At k = n every algorithm must still reduce
+// to its Table 1 tolerance.
+TEST(KRobotsSweep, ToleranceAtNPastTwoToThe31) {
+  constexpr std::uint32_t kHuge = 3000000000u;
+  for (const Algorithm a :
+       {Algorithm::kQuotient, Algorithm::kTournamentArbitrary,
+        Algorithm::kSqrtArbitrary, Algorithm::kTournamentGathered,
+        Algorithm::kThreeGroupGathered, Algorithm::kStrongArbitrary,
+        Algorithm::kStrongGathered, Algorithm::kCrashRealGathering,
+        Algorithm::kRingBaseline}) {
+    SCOPED_TRACE(core::to_string(a));
+    EXPECT_EQ(core::max_tolerated_f_k(a, kHuge, kHuge),
+              core::max_tolerated_f(a, kHuge));
+    EXPECT_EQ(core::max_tolerated_f_k(a, kHuge, 0),
+              core::max_tolerated_f(a, kHuge));
+  }
+}
+
 }  // namespace
 }  // namespace bdg::run
